@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/sparse"
@@ -84,6 +85,11 @@ type Factorization struct {
 	ordBuf  []int
 	cntBuf  []int
 	qinv    []int
+	// posBits is a bitset over pivot positions, all zero between calls:
+	// the sparse solve sets the positions it reached and drains them in
+	// ascending or descending order, so ordering a reach set costs
+	// O(n/64 + reach).
+	posBits []uint64
 
 	pivotTol    float64
 	relPivotTol float64 // threshold-pivoting τ ∈ (0,1]; 1 = strict partial
@@ -185,6 +191,11 @@ func (f *Factorization) resize(n int) {
 	f.xi = grow(f.xi, n)
 	f.stack = grow(f.stack, n)
 	f.pstk = grow(f.pstk, n)
+	if w := (n + 63) / 64; cap(f.posBits) < w {
+		f.posBits = make([]uint64, w)
+	} else {
+		f.posBits = f.posBits[:w]
+	}
 	if cap(f.mark) < n {
 		f.mark = make([]bool, n)
 	}
@@ -604,7 +615,7 @@ func (f *Factorization) Solve(b, x []float64) {
 		}
 		f.patBuf = pat
 		if len(pat) <= n/8 {
-			f.solveSparse(b, x, pat)
+			f.solveSparse(b, x, pat, nil)
 			return
 		}
 	}
@@ -615,7 +626,12 @@ func (f *Factorization) Solve(b, x []float64) {
 // nonzero pattern: supp lists original indices, ascending, and every
 // entry of b outside supp is exactly zero. The pattern is filtered to
 // the actual nonzeros, so the solve path and result match Solve's.
-func (f *Factorization) SolveSupp(b, x []float64, supp []int) {
+//
+// It reports whether the sparse path ran. If it did and wrote is
+// non-nil ((n+63)/64 words), the bit of every original index the solve
+// stored a result in is ORed into wrote, and every entry of x outside
+// those bits is zero. After the dense path any entry may be nonzero.
+func (f *Factorization) SolveSupp(b, x []float64, supp []int, wrote []uint64) bool {
 	n := f.n
 	if len(b) != n || len(x) != n {
 		panic("lu: Solve dimension mismatch")
@@ -630,11 +646,12 @@ func (f *Factorization) SolveSupp(b, x []float64, supp []int) {
 		}
 		f.patBuf = pat
 		if len(pat) <= n/8 {
-			f.solveSparse(b, x, pat)
-			return
+			f.solveSparse(b, x, pat, wrote)
+			return true
 		}
 	}
 	f.solveDense(b, x)
+	return false
 }
 
 func (f *Factorization) solveDense(b, x []float64) {
@@ -681,8 +698,9 @@ func (f *Factorization) solveDense(b, x []float64) {
 }
 
 // solveSparse is the sparse-pattern solve: pat lists the original rows
-// i with b[i] ≠ 0, ascending. x aliases b.
-func (f *Factorization) solveSparse(b, x []float64, pat []int) {
+// i with b[i] ≠ 0, ascending. x aliases b. The original indices of the
+// results are ORed into wrote when it is non-nil.
+func (f *Factorization) solveSparse(b, x []float64, pat []int, wrote []uint64) {
 	n := f.n
 	z := f.x
 	// Forward reach through L (original-row space, as in Factor), then
@@ -691,13 +709,13 @@ func (f *Factorization) solveSparse(b, x []float64, pat []int) {
 	// sequence. Untouched rows hold the exact zeros the dense pass
 	// would compute.
 	top := f.reach(pat)
-	ord := f.ordBuf[:0]
 	for p := top; p < n; p++ {
 		i := f.xi[p]
 		f.mark[i] = false
-		ord = append(ord, f.pinv[i])
+		k := f.pinv[i]
+		f.posBits[k>>6] |= 1 << (uint(k) & 63)
 	}
-	sort.Ints(ord)
+	ord := f.drainAscending(f.ordBuf[:0])
 	for _, i := range pat {
 		z[f.pinv[i]] = b[i]
 	}
@@ -715,14 +733,12 @@ func (f *Factorization) solveSparse(b, x []float64, pat []int) {
 	// a reach over U's column graph (column j scatters into pivot rows
 	// k < j); descending order again matches the dense pass.
 	top = f.reachU(ord)
-	ord2 := ord[:0] // forward order no longer needed; reuse the buffer
 	for p := top; p < n; p++ {
 		j := f.xi[p]
 		f.mark[j] = false
-		ord2 = append(ord2, j)
+		f.posBits[j>>6] |= 1 << (uint(j) & 63)
 	}
-	//coflowlint:allow stablesort -- int keys form a total order; equal elements are interchangeable
-	sort.Sort(sort.Reverse(sort.IntSlice(ord2)))
+	ord2 := f.drainDescending(ord[:0]) // forward order no longer needed
 	for _, j := range ord2 {
 		zj := z[j]
 		if zj == 0 {
@@ -744,10 +760,47 @@ func (f *Factorization) solveSparse(b, x []float64, pat []int) {
 		x[i] = 0
 	}
 	for _, j := range ord2 {
-		x[f.q[j]] = z[j]
+		i := f.q[j]
+		x[i] = z[j]
 		z[j] = 0
+		if wrote != nil {
+			wrote[i>>6] |= 1 << (uint(i) & 63)
+		}
 	}
 	f.ordBuf = ord2
+}
+
+// drainAscending appends the positions set in posBits to dst in
+// ascending order, clearing the bitset.
+func (f *Factorization) drainAscending(dst []int) []int {
+	for w, word := range f.posBits {
+		if word == 0 {
+			continue
+		}
+		f.posBits[w] = 0
+		for word != 0 {
+			dst = append(dst, w<<6|bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+	return dst
+}
+
+// drainDescending is drainAscending in descending order.
+func (f *Factorization) drainDescending(dst []int) []int {
+	for w := len(f.posBits) - 1; w >= 0; w-- {
+		word := f.posBits[w]
+		if word == 0 {
+			continue
+		}
+		f.posBits[w] = 0
+		for word != 0 {
+			b := 63 - bits.LeadingZeros64(word)
+			dst = append(dst, w<<6|b)
+			word &^= 1 << uint(b)
+		}
+	}
+	return dst
 }
 
 // reachU is reach over U's column graph in pivot coordinates: DFS from
@@ -813,7 +866,7 @@ func (f *Factorization) SolveTranspose(b, x []float64) {
 		}
 		f.patBuf = pat
 		if len(pat) <= n/8 {
-			f.solveTransposeSparse(b, x, pat)
+			f.solveTransposeSparse(b, x, pat, nil)
 			return
 		}
 	}
@@ -825,8 +878,9 @@ func (f *Factorization) SolveTranspose(b, x []float64) {
 // order) and every entry of b outside supp is exactly zero. The pattern
 // is filtered to the actual nonzeros — the same set SolveTranspose's
 // scan finds — and root order does not affect the computed values, so
-// the result matches SolveTranspose's.
-func (f *Factorization) SolveTransposeSupp(b, x []float64, supp []int) {
+// the result matches SolveTranspose's. The result and wrote work as in
+// SolveSupp.
+func (f *Factorization) SolveTransposeSupp(b, x []float64, supp []int, wrote []uint64) bool {
 	n := f.n
 	if len(b) != n || len(x) != n {
 		panic("lu: SolveTranspose dimension mismatch")
@@ -841,11 +895,12 @@ func (f *Factorization) SolveTransposeSupp(b, x []float64, supp []int) {
 		}
 		f.patBuf = pat
 		if len(pat) <= n/8 {
-			f.solveTransposeSparse(b, x, pat)
-			return
+			f.solveTransposeSparse(b, x, pat, wrote)
+			return true
 		}
 	}
 	f.solveTransposeDense(b, x)
+	return false
 }
 
 func (f *Factorization) solveTransposeDense(b, x []float64) {
@@ -883,8 +938,10 @@ func (f *Factorization) solveTransposeDense(b, x []float64) {
 }
 
 // solveTransposeSparse is the sparse-pattern transpose solve: pat lists
-// the pivot positions j with b[q[j]] ≠ 0, ascending. x aliases b.
-func (f *Factorization) solveTransposeSparse(b, x []float64, pat []int) {
+// the pivot positions j with b[q[j]] ≠ 0, ascending. x aliases b. The
+// original indices of the results are ORed into wrote when it is
+// non-nil.
+func (f *Factorization) solveTransposeSparse(b, x []float64, pat []int, wrote []uint64) {
 	n := f.n
 	f.ensureTranspose()
 	z := f.x
@@ -926,8 +983,12 @@ func (f *Factorization) solveTransposeSparse(b, x []float64, pat []int) {
 	for p := topL; p < n; p++ {
 		k := f.xi[p]
 		f.mark[k] = false
-		x[f.p[k]] = z[k]
+		i := f.p[k]
+		x[i] = z[k]
 		z[k] = 0
+		if wrote != nil {
+			wrote[i>>6] |= 1 << (uint(i) & 63)
+		}
 	}
 }
 

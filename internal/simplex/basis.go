@@ -12,9 +12,8 @@ import (
 // refactorization plus a product-form (PFI) eta file for the pivots
 // performed since.
 type basis struct {
-	m   int
-	lu  *lu.Factorization
-	mat *sparse.Matrix // basis matrix at last refactorization (diagnostics)
+	m  int
+	lu *lu.Factorization
 
 	// Eta file. Eta k replaces column etaRow[k] of the basis with the
 	// FTran'd entering column stored in etaIdx/etaVal[etaPtr[k]:etaPtr[k+1]].
@@ -22,8 +21,6 @@ type basis struct {
 	etaRow []int
 	etaIdx []int
 	etaVal []float64
-
-	work []float64 // scratch for building columns
 
 	// Per-eta index bitmasks plus a support bitset scratch, used by the
 	// sparse btran path to skip etas that provably leave v unchanged.
@@ -41,7 +38,6 @@ func newBasis(m int) *basis {
 		m:      m,
 		lu:     lu.New(m),
 		etaPtr: []int{0},
-		work:   make([]float64, m),
 	}
 }
 
@@ -61,7 +57,6 @@ func (b *basis) refactor(cols *sparse.Matrix) error {
 	if err := b.lu.Factor(cols); err != nil {
 		return err
 	}
-	b.mat = cols
 	b.etaPtr = b.etaPtr[:1]
 	b.etaRow = b.etaRow[:0]
 	b.etaIdx = b.etaIdx[:0]
@@ -95,30 +90,10 @@ func (b *basis) pushEtaMask(lo int) {
 }
 
 // pushEta records a pivot that replaced basis position r with the
-// FTran'd entering column w (dense, length m). Entries below dropTol
-// are not stored, except w[r] which is always kept.
-func (b *basis) pushEta(r int, w []float64, dropTol float64) {
-	lo := len(b.etaIdx)
-	for i, v := range w {
-		if i == r || math.Abs(v) > dropTol {
-			if v == 0 && i != r {
-				continue
-			}
-			b.etaIdx = append(b.etaIdx, i)
-			b.etaVal = append(b.etaVal, v)
-		}
-	}
-	b.etaRow = append(b.etaRow, r)
-	b.etaPtr = append(b.etaPtr, len(b.etaIdx))
-	b.pushEtaMask(lo)
-}
-
-// pushEtaIdx is pushEta over an explicit nonzero index list (ascending,
-// as the FTran scan produces): the same entries are stored in the same
-// order — wIdx lists exactly the nonzero positions of w, and pushEta
-// keeps a nonzero entry iff it is the pivot position or above dropTol —
-// without rescanning the dense vector.
-func (b *basis) pushEtaIdx(r int, w []float64, wIdx []int, dropTol float64) {
+// FTran'd entering column w, whose nonzero positions wIdx lists in
+// ascending order. Entries at or below dropTol are not stored, except
+// w[r] which is always kept.
+func (b *basis) pushEta(r int, w []float64, wIdx []int, dropTol float64) {
 	lo := len(b.etaIdx)
 	for _, i := range wIdx {
 		v := w[i]
@@ -135,18 +110,28 @@ func (b *basis) pushEtaIdx(r int, w []float64, wIdx []int, dropTol float64) {
 // ftran solves B·x = v in place (v is overwritten with the solution).
 func (b *basis) ftran(v []float64) {
 	b.lu.Solve(v, v)
-	b.ftranEtas(v)
+	b.ftranEtas(v, nil)
 }
 
 // ftranSupp is ftran for a caller that knows a superset of v's nonzero
 // pattern (ascending original indices; entries outside are exact zeros),
-// letting the LU solve skip its pattern-discovery scan.
-func (b *basis) ftranSupp(v []float64, supp []int) {
-	b.lu.SolveSupp(v, v, supp)
-	b.ftranEtas(v)
+// letting the LU solve skip its pattern-discovery scan. It reports
+// whether the LU solve took its sparse path; if so, every row the whole
+// solve wrote — the rows the LU solve stored plus the index sets of the
+// etas applied — is ORed into wrote, and v is zero outside them.
+func (b *basis) ftranSupp(v []float64, supp []int, wrote []uint64) bool {
+	sparse := b.lu.SolveSupp(v, v, supp, wrote)
+	if !sparse {
+		wrote = nil
+	}
+	b.ftranEtas(v, wrote)
+	return sparse
 }
 
-func (b *basis) ftranEtas(v []float64) {
+// ftranEtas applies the eta file to v, ORing the index masks of the
+// etas it applies into wrote when wrote is non-nil.
+func (b *basis) ftranEtas(v []float64, wrote []uint64) {
+	words := b.maskWords()
 	for k := 0; k < len(b.etaRow); k++ {
 		r := b.etaRow[k]
 		vr := v[r]
@@ -171,13 +156,20 @@ func (b *basis) ftranEtas(v []float64) {
 			v[i] -= b.etaVal[t] * zr
 		}
 		v[r] = zr
+		if wrote != nil {
+			for w, word := range b.etaMask[k*words : (k+1)*words] {
+				wrote[w] |= word
+			}
+		}
 	}
 }
 
 // btran solves Bᵀ·y = v in place (v is overwritten with the solution).
 func (b *basis) btran(v []float64) {
-	if b.m >= 64 && len(b.etaRow) >= 4 && b.btranSparse(v, -1) {
-		return
+	if b.m >= 64 && len(b.etaRow) >= 4 {
+		if ran, _ := b.btranSparse(v, -1, nil); ran {
+			return
+		}
 	}
 	for k := len(b.etaRow) - 1; k >= 0; k-- {
 		r := b.etaRow[k]
@@ -200,13 +192,14 @@ func (b *basis) btran(v []float64) {
 // btranUnit is btran for v = e_seed (exactly one nonzero, at seed): the
 // sparse path's support scan is replaced by the known singleton pattern,
 // so it applies whenever the dimension gate passes, regardless of eta
-// count.
-func (b *basis) btranUnit(v []float64, seed int) {
+// count. The result and wrote work as in ftranSupp.
+func (b *basis) btranUnit(v []float64, seed int, wrote []uint64) bool {
 	if b.m >= 64 {
-		b.btranSparse(v, seed)
-		return
+		_, sparse := b.btranSparse(v, seed, wrote)
+		return sparse
 	}
 	b.btran(v)
+	return false
 }
 
 // btranSparse is the eta pass for sparse v, followed by the LU
@@ -216,8 +209,11 @@ func (b *basis) btranUnit(v []float64, seed int) {
 // the update would store (±0−±0)/w_r, so skipping changes only the
 // sign of a zero. Non-skipped etas run the dense path's exact gather.
 // seed ≥ 0 asserts v's support is exactly {seed}, skipping the scan.
-// Returns false (having done nothing) when v is too dense to pay off.
-func (b *basis) btranSparse(v []float64, seed int) bool {
+// ran is false (nothing done) when v is too dense to pay off; sparse
+// reports whether the LU solve took its sparse path, in which case the
+// rows of the eta pass and of the LU solve are ORed into wrote (when
+// non-nil) and v is zero outside them.
+func (b *basis) btranSparse(v []float64, seed int, wrote []uint64) (ran, sparse bool) {
 	words := b.maskWords()
 	if cap(b.sup) < words {
 		b.sup = make([]uint64, words)
@@ -247,7 +243,7 @@ func (b *basis) btranSparse(v []float64, seed int) bool {
 		}
 		if nnz > b.m/8 {
 			b.supWords, b.supIdx = sw, si
-			return false
+			return false, false
 		}
 	}
 	for k := len(b.etaRow) - 1; k >= 0; k-- {
@@ -292,6 +288,13 @@ func (b *basis) btranSparse(v []float64, seed int) bool {
 	// position may have landed on an exact zero); entries outside are
 	// untouched zeros. The LU layer filters to actual nonzeros, so the
 	// solve matches the plain SolveTranspose path.
-	b.lu.SolveTransposeSupp(v, v, si)
-	return true
+	if !b.lu.SolveTransposeSupp(v, v, si, wrote) {
+		return true, false
+	}
+	if wrote != nil {
+		for _, w := range sw {
+			wrote[w] |= sup[w]
+		}
+	}
+	return true, true
 }

@@ -77,8 +77,6 @@ func (s *solver) flushObs() {
 	// robustness counters existing from the first solve.
 	reg.Counter("simplex_repairs_total").Add(int64(s.nRepairs))
 	reg.Counter("simplex_perturbations_total").Add(int64(s.nPerturb))
-	reg.Counter("simplex_devex_prefilter_tested_total").Add(s.prefTested)
-	reg.Counter("simplex_devex_prefilter_passed_total").Add(s.prefPassed)
 	reg.Counter("lu_factorizations_total").Add(int64(s.bas.lu.Factors()))
 	reg.Gauge("lu_fill_nnz").Set(int64(s.bas.lu.LNnz() + s.bas.lu.UNnz()))
 	if s.warm != WarmNone {

@@ -13,8 +13,11 @@
 // The implementation uses the classical two-phase method with
 // artificial variables, a sparse LU basis factorization
 // (internal/lu) refreshed periodically, product-form eta updates in
-// between, rotating partial pricing with a Bland's-rule fallback for
-// anti-cycling, and a Harris-style two-pass ratio test.
+// between, Devex pricing kept in a tournament tree with a Bland's-rule
+// fallback for anti-cycling, and a Harris-style two-pass ratio test.
+// Each pivot's work follows the entries it changes: the FTran'd column
+// and pivot row are solved and cleared over their nonzero rows only,
+// and only the columns the pivot row touches are re-priced.
 package simplex
 
 import (
@@ -22,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/lu"
 	"repro/internal/obs"
@@ -67,7 +71,10 @@ type Problem struct {
 	U []float64      // length n upper bounds (may be +Inf)
 }
 
-// Validate checks dimensional consistency and bound sanity.
+// Validate checks dimensional consistency, bound sanity, and that every
+// column of A lists its rows strictly ascending, as sparse.Builder
+// produces them: the solver copies columns into the basis matrix as
+// they are and accumulates pivot rows by rows of A in ColDot's order.
 func (p *Problem) Validate() error {
 	if p.A == nil {
 		return errors.New("simplex: nil constraint matrix")
@@ -79,6 +86,17 @@ func (p *Problem) Validate() error {
 	if len(p.C) != n || len(p.L) != n || len(p.U) != n {
 		return fmt.Errorf("simplex: C/L/U lengths (%d,%d,%d), want %d",
 			len(p.C), len(p.L), len(p.U), n)
+	}
+	if len(p.A.ColPtr) != n+1 {
+		return fmt.Errorf("simplex: len(A.ColPtr)=%d, want %d", len(p.A.ColPtr), n+1)
+	}
+	for j := 0; j < n; j++ {
+		idx, _ := p.A.Col(j)
+		for k, i := range idx {
+			if i < 0 || i >= m || (k > 0 && i <= idx[k-1]) {
+				return fmt.Errorf("simplex: column %d rows are not strictly ascending in [0,%d)", j, m)
+			}
+		}
 	}
 	for j := 0; j < n; j++ {
 		if p.L[j] > p.U[j] {
@@ -112,8 +130,8 @@ type Options struct {
 	// forced the fallback.
 	WarmStart *Basis
 	// Obs, when non-nil, receives solve telemetry: pivots,
-	// refactorizations, Devex prefilter hit rate, LU factorization
-	// work, and the warm-start outcome. Counters accumulate locally
+	// refactorizations, repairs, perturbations, LU factorization work,
+	// and the warm-start outcome. Counters accumulate locally
 	// and flush once per solve, so the pivot loop never touches an
 	// atomic; pivot sequences are identical with Obs set or nil.
 	Obs *obs.Registry
@@ -195,7 +213,8 @@ type solver struct {
 	xB      []float64 // length m, values of basic variables
 	artSign []float64 // length m, artificial column signs (±1)
 
-	bas *basis
+	bas  *basis
+	bmat sparse.Matrix // basis matrix buffers, refilled by each refactor
 
 	// dense work vectors, length m
 	y   []float64
@@ -203,25 +222,34 @@ type solver struct {
 	v2  []float64
 	rho []float64 // pivot row B⁻ᵀe_r for Devex / reduced-cost updates
 
-	wIdx []int // nonzero positions of w after ftran
+	// Ascending nonzero positions of w after ftran and of rho after
+	// btran. Every other entry of w and rho is +0, so the next solve
+	// clears just these; wMask/rhoMask collect the rows a solve wrote.
+	wIdx    []int
+	rhoIdx  []int
+	wMask   []uint64
+	rhoMask []uint64
 
 	// Reduced costs maintained incrementally across pivots and Devex
 	// reference weights, interleaved (ddw[2j] = reduced cost of j,
-	// ddw[2j+1] = Devex weight): the pricing sweep reads both per
-	// column, and interleaving halves its cache-line traffic.
+	// ddw[2j+1] = Devex weight): pricing updates read both per column.
 	ddw []float64
 
-	// Row-major (CSR) view of A, built once per solve: the pricing
-	// sweep accumulates the pivot row α_r = ρᵀA by rows of A with
-	// nonzero ρ_i instead of one sparse dot per nonbasic column. Valid
-	// only when every column of A stores its rows ascending (csrOK) —
-	// then per-column accumulation order matches ColDot's and the
-	// floats are identical. arj is the length-total accumulator,
-	// zeroed again after every sweep.
+	// Devex pricing over the columns (see devexTree). treeStale marks
+	// that reduced costs or weights were rebuilt wholesale; the next
+	// reader rebuilds the tree.
+	tree      *devexTree
+	treeStale bool
+
+	// Row-major (CSR) view of A, built once per solve: the pivot-row
+	// update accumulates α_r = ρᵀA by rows of A with nonzero ρ_i instead
+	// of one sparse dot per nonbasic column. Every column of A stores
+	// its rows ascending (Validate), so per-column accumulation order
+	// matches ColDot's and the floats are identical. arj is the
+	// length-total accumulator, zeroed again after every pivot.
 	rowPtr  []int32
 	rowCol  []int32
 	rowVal  []float64
-	csrOK   bool
 	arj     []float64
 	suppOne [1]int
 	// Deduplicated list of columns the current pivot row touches, with
@@ -229,29 +257,6 @@ type solver struct {
 	touched  []int32
 	stamp    []int32
 	stampGen int32
-
-	// Nonbasic index list, rebuilt per phase and maintained across
-	// pivots (swap-remove the entering column, append the leaving one):
-	// the pricing sweep visits only nonbasic columns instead of testing
-	// state over all of them. nbPos[j] is j's position, -1 when basic.
-	nbList []int32
-	nbPos  []int32
-	// fixed[j] caches lb(j) == ub(j), refreshed with the nonbasic list
-	// (bounds only change at phase transitions, which rebuild it).
-	fixed []bool
-
-	// One-pivot price cache: the pivot's pricing sweep already sees
-	// every nonbasic column with its final reduced cost and Devex
-	// weight, so it records the next entering candidate (argmax of
-	// d²/w, smallest index on ties — exactly what the ascending price
-	// scan would select). Any event that perturbs d, dw, or a state
-	// outside the sweep's view (refactor refresh, Devex reset, bound
-	// flip, Bland mode) simply leaves the cache invalid and price
-	// falls back to the full scan.
-	cacheJ     int
-	cacheDir   float64
-	cacheScore float64
-	cacheOK    bool
 
 	bland       bool    // Bland's rule anti-cycling mode
 	artFixed    bool    // artificial upper bounds pinned to 0 (phase 2)
@@ -280,13 +285,11 @@ type solver struct {
 	warm           WarmOutcome
 	isRetry        bool
 	nRefactor      int
-	nDegen         int   // degenerate (zero-step) pivots this solve
-	degenAtPerturb int   // nDegen at the last perturbation (trigger baseline)
-	nRepairs       int   // dependent basis columns swapped for artificials
-	nPerturb       int   // cost perturbations applied on degenerate stalls
-	restarts       int   // two-phase restarts after an infeasible repair
-	prefTested     int64 // nonbasic columns seen by the CSR pricing sweep
-	prefPassed     int64 // columns that survived the dj² ≥ bestScore prefilter
+	nDegen         int // degenerate (zero-step) pivots this solve
+	degenAtPerturb int // nDegen at the last perturbation (trigger baseline)
+	nRepairs       int // dependent basis columns swapped for artificials
+	nPerturb       int // cost perturbations applied on degenerate stalls
+	restarts       int // two-phase restarts after an infeasible repair
 }
 
 // Repair / anti-degeneracy limits. Each is a last-resort bound, not a
@@ -369,14 +372,15 @@ func solveOnce(ctx context.Context, p *Problem, opt Options, minPiv float64, ret
 		w:       make([]float64, m),
 		v2:      make([]float64, m),
 		rho:     make([]float64, m),
+		wIdx:    make([]int, 0, m),
+		rhoIdx:  make([]int, 0, m),
+		wMask:   make([]uint64, (m+63)/64),
+		rhoMask: make([]uint64, (m+63)/64),
 		ddw:     make([]float64, 2*(n+m)),
+		tree:    newDevexTree(n + m),
 		touched: make([]int32, 0, n+m),
 		stamp:   make([]int32, n+m),
-		wIdx:    make([]int, 0, m),
 		arj:     make([]float64, n+m),
-		nbList:  make([]int32, 0, n+m),
-		nbPos:   make([]int32, n+m),
-		fixed:   make([]bool, n+m),
 		minPiv:  minPiv,
 		isRetry: retry,
 	}
@@ -386,21 +390,9 @@ func solveOnce(ctx context.Context, p *Problem, opt Options, minPiv float64, ret
 	return s.run()
 }
 
-// buildCSR builds the row-major view of A for the pricing sweep. The
-// sweep's float-exactness argument needs ascending rows within each
-// column; a matrix violating that (none of ours do — sparse.Builder
-// sorts) simply keeps the column-dot path.
+// buildCSR builds the row-major view of A for the pivot-row update.
 func (s *solver) buildCSR() {
 	a := s.prob.A
-	for j := 0; j < a.Cols; j++ {
-		lo, hi := a.ColPtr[j], a.ColPtr[j+1]
-		for k := lo + 1; k < hi; k++ {
-			if a.RowIdx[k-1] >= a.RowIdx[k] {
-				s.csrOK = false
-				return
-			}
-		}
-	}
 	nnz := a.Nnz()
 	s.rowPtr = make([]int32, s.m+1)
 	s.rowCol = make([]int32, nnz)
@@ -415,8 +407,8 @@ func (s *solver) buildCSR() {
 	next := make([]int32, s.m)
 	copy(next, s.rowPtr[:s.m])
 	// Column-major traversal fills each row's entries in ascending
-	// column order (not that the sweep's exactness needs it: each
-	// column gets exactly one entry per row).
+	// column order (not that exactness needs it: each column gets
+	// exactly one entry per row).
 	for j := 0; j < a.Cols; j++ {
 		lo, hi := a.ColPtr[j], a.ColPtr[j+1]
 		for k := lo; k < hi; k++ {
@@ -427,7 +419,6 @@ func (s *solver) buildCSR() {
 			next[i] = p + 1
 		}
 	}
-	s.csrOK = true
 }
 
 // value returns the current value of a nonbasic variable.
@@ -459,8 +450,8 @@ func (s *solver) ub(j int) float64 {
 	return math.Inf(1)
 }
 
-// scatterCol writes column j of the extended matrix [A | artificials]
-// into dense w and records the nonzero index list in wIdx.
+// scatterCol adds column j of the extended matrix [A | artificials]
+// into dense w.
 func (s *solver) scatterCol(j int, w []float64) {
 	if j < s.n {
 		idx, val := s.prob.A.Col(j)
@@ -839,21 +830,32 @@ func (s *solver) setNonbasicNear(j int, v float64) {
 	s.inRow[j] = -1
 }
 
-// basisMatrix assembles the current basis columns into an m×m matrix.
+// basisMatrix assembles the current basis columns into the m×m CSC
+// matrix the LU factorization reads, reusing the solver's buffers.
+// Columns of A are already sorted and duplicate-free (Validate), so a
+// straight copy that drops explicit zeros is the matrix sparse.Builder
+// would build from them.
 func (s *solver) basisMatrix() *sparse.Matrix {
-	bld := sparse.NewBuilder(s.m, s.m)
+	bm := &s.bmat
+	bm.Rows, bm.Cols = s.m, s.m
+	bm.ColPtr = append(bm.ColPtr[:0], 0)
+	bm.RowIdx, bm.Val = bm.RowIdx[:0], bm.Val[:0]
 	for rpos := 0; rpos < s.m; rpos++ {
-		j := s.basisOf[rpos]
-		if j < s.n {
+		if j := s.basisOf[rpos]; j < s.n {
 			idx, val := s.prob.A.Col(j)
 			for k, i := range idx {
-				bld.Add(i, rpos, val[k])
+				if val[k] != 0 {
+					bm.RowIdx = append(bm.RowIdx, i)
+					bm.Val = append(bm.Val, val[k])
+				}
 			}
 		} else {
-			bld.Add(j-s.n, rpos, s.artSign[j-s.n])
+			bm.RowIdx = append(bm.RowIdx, j-s.n)
+			bm.Val = append(bm.Val, s.artSign[j-s.n])
 		}
+		bm.ColPtr = append(bm.ColPtr, len(bm.RowIdx))
 	}
-	return bld.Build()
+	return bm
 }
 
 // refactor rebuilds the LU factorization from the current basis and
@@ -979,11 +981,7 @@ func (s *solver) recomputeReducedCosts() {
 		}
 		s.ddw[2*j] = s.cost[j] - s.colDot(j, s.y)
 	}
-	// Refreshing also re-sorts the nonbasic list: sweep order never
-	// affects the result, but a near-ascending list keeps the pricing
-	// sweep's memory accesses sequential.
-	s.rebuildNonbasic()
-	s.cacheOK = false
+	s.treeStale = true
 }
 
 // resetDevex restores the Devex reference framework.
@@ -991,22 +989,46 @@ func (s *solver) resetDevex() {
 	for j := 0; j < s.total; j++ {
 		s.ddw[2*j+1] = 1
 	}
-	s.cacheOK = false
+	s.treeStale = true
 }
 
-// rebuildNonbasic refreshes the nonbasic index list and the fixed-bound
-// cache from the states.
-func (s *solver) rebuildNonbasic() {
-	s.nbList = s.nbList[:0]
-	for j := 0; j < s.total; j++ {
-		s.fixed[j] = s.lb(j) == s.ub(j)
-		if s.state[j] == stBasic {
-			s.nbPos[j] = -1
-			continue
-		}
-		s.nbPos[j] = int32(len(s.nbList))
-		s.nbList = append(s.nbList, int32(j))
+// leaf returns column j's pricing-tree leaf: its score d_j²/w_j when it
+// may enter (−1 otherwise; a score of exactly 0 never wins the ascending
+// scan) and its Devex weight when nonbasic (0 when basic).
+func (s *solver) leaf(j int) (score, w float64) {
+	if s.state[j] == stBasic {
+		return -1, 0
 	}
+	score, w = -1, s.ddw[2*j+1]
+	if _, ok := s.eligible(j); ok {
+		d := s.ddw[2*j]
+		if sc := d * d / w; sc > 0 {
+			score = sc
+		}
+	}
+	return score, w
+}
+
+// priceLeaf refreshes column j's leaf of the pricing tree. A stale tree
+// is left to its rebuild.
+func (s *solver) priceLeaf(j int) {
+	if !s.treeStale {
+		score, w := s.leaf(j)
+		s.tree.setLeaf(j, score, w)
+	}
+}
+
+// pricingTree returns the pricing tree, rebuilt first if stale.
+func (s *solver) pricingTree() *devexTree {
+	if s.treeStale {
+		s.treeStale = false
+		for j := 0; j < s.total; j++ {
+			score, w := s.leaf(j)
+			s.tree.store(j, score, w)
+		}
+		s.tree.rebuild()
+	}
+	return s.tree
 }
 
 // eligible reports whether nonbasic variable j can improve the
@@ -1037,15 +1059,11 @@ func (s *solver) eligible(j int) (dir float64, ok bool) {
 	return 0, false
 }
 
-// price selects an entering variable using Devex pricing (d_j²/w_j),
-// or Bland's smallest-index rule in anti-cycling mode. Returns -1 when
-// the basis is optimal for the current costs.
+// price selects an entering variable using Devex pricing (d_j²/w_j;
+// highest score, smallest index on ties), or Bland's smallest-index
+// rule in anti-cycling mode. Returns -1 when the basis is optimal for
+// the current costs.
 func (s *solver) price() (jEnter int, dir float64) {
-	if s.cacheOK && !s.bland {
-		s.cacheOK = false
-		return s.cacheJ, s.cacheDir
-	}
-	s.cacheOK = false
 	if s.bland {
 		for j := 0; j < s.total; j++ {
 			if s.state[j] == stBasic {
@@ -1057,164 +1075,122 @@ func (s *solver) price() (jEnter int, dir float64) {
 		}
 		return -1, 0
 	}
-	best, bestScore, bestDir := -1, 0.0, 0.0
-	for j := 0; j < s.total; j++ {
-		if s.state[j] == stBasic {
-			continue
-		}
-		dr, ok := s.eligible(j)
-		if !ok {
-			continue
-		}
-		dj := s.ddw[2*j]
-		score := dj * dj / s.ddw[2*j+1]
-		if score > bestScore {
-			best, bestScore, bestDir = j, score, dr
-		}
+	best, _ := s.pricingTree().root()
+	if best < 0 {
+		return -1, 0
 	}
-	return best, bestDir
+	dir, _ = s.eligible(best)
+	return best, dir
 }
 
 // updatePricingAfterPivot maintains the reduced costs and Devex
 // weights across a basis change: entering variable q replaced the
 // basic variable at row r with pivot element alpha = (B⁻¹a_q)_r.
-// It computes the pivot row ρ = B⁻ᵀe_r and sweeps the nonbasic
-// columns once.
+// It computes the pivot row ρ = B⁻ᵀe_r and updates the columns it
+// touches.
 func (s *solver) updatePricingAfterPivot(q, r int, alpha float64, leaving int) {
-	for i := range s.rho {
+	for _, i := range s.rhoIdx {
 		s.rho[i] = 0
 	}
 	s.rho[r] = 1
-	s.bas.btranUnit(s.rho, r)
+	sparse := s.bas.btranUnit(s.rho, r, s.rhoMask)
+	s.rhoIdx = support(s.rho, s.rhoMask, sparse, s.rhoIdx[:0])
 
 	dq := s.ddw[2*q]
 	wq := s.ddw[2*q+1]
 	ratio := dq / alpha
 	gamma := wq / (alpha * alpha)
-	maxW := 1.0
-	if s.csrOK {
-		// Accumulate α_r = ρᵀA by rows with nonzero ρ. Per column the
-		// contributions arrive in ascending row order — the order
-		// ColDot adds them — and skipping ρ_i = 0 rows only skips
-		// adding ±0, so each accumulated α_rj is the ColDot float
-		// (up to the sign of an unobservable zero).
-		arj := s.arj
-		s.stampGen++
-		gen := s.stampGen
-		tl := s.touched[:0]
-		for i := 0; i < s.m; i++ {
-			ri := s.rho[i]
-			if ri == 0 {
-				continue
-			}
-			for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-				c := s.rowCol[k]
-				arj[c] += s.rowVal[k] * ri
-				if s.stamp[c] != gen {
-					s.stamp[c] = gen
-					tl = append(tl, c)
-				}
-			}
-			c := int32(s.n + i)
-			arj[c] += s.artSign[i] * ri
+	tree := s.pricingTree()
+	// q leaves the nonbasic set before the weight maximum is read.
+	tree.setLeaf(q, -1, 0)
+	// Accumulate α_r = ρᵀA by rows with nonzero ρ, ascending. Per column
+	// the contributions arrive in ascending row order — the order
+	// ColDot adds them — and skipping ρ_i = 0 rows only skips adding
+	// ±0, so each accumulated α_rj is the ColDot float (up to the sign
+	// of an unobservable zero).
+	arj := s.arj
+	s.stampGen++
+	gen := s.stampGen
+	tl := s.touched[:0]
+	for _, i := range s.rhoIdx {
+		ri := s.rho[i]
+		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
+			c := s.rowCol[k]
+			arj[c] += s.rowVal[k] * ri
 			if s.stamp[c] != gen {
 				s.stamp[c] = gen
 				tl = append(tl, c)
 			}
 		}
-		s.touched = tl
-		// Apply the reduced-cost / weight deltas over the touched
-		// columns only (per-column updates are independent of order),
-		// clearing the accumulator as we go.
-		for _, c := range tl {
-			j := int(c)
-			v := arj[j]
-			arj[j] = 0
-			if v == 0 || j == q || s.nbPos[j] < 0 {
-				continue
-			}
-			jj := 2 * j
-			s.ddw[jj] -= ratio * v
-			if w := v * v * gamma; w > s.ddw[jj+1] {
-				s.ddw[jj+1] = w
-			}
-		}
-		// Sweep the nonbasic list for the Devex weight max and the next
-		// price scan, fused: eligibility and the score are pure
-		// functions of the final d/dw/state, max is order-free, and the
-		// explicit smallest-index tie-break reproduces the ascending
-		// scan's first-argmax choice.
-		best, bestScore, bestDir := -1, 0.0, 0.0
-		tol := s.opt.Tol
-		s.prefTested += int64(len(s.nbList) - 1) // every column but q
-		for _, j32 := range s.nbList {
-			j := int(j32)
-			if j == q {
-				continue
-			}
-			jj := 2 * j
-			dj := s.ddw[jj]
-			wj := s.ddw[jj+1]
-			if wj > maxW {
-				maxW = wj
-			}
-			// Devex weights never drop below 1, so score ≤ dj²: a
-			// numerator strictly under the incumbent can neither beat
-			// it nor tie it, and eligibility need not be checked.
-			if a := dj * dj; a >= bestScore {
-				s.prefPassed++
-				// eligible(j), inlined with the fixed-bound cache.
-				var dr float64
-				switch s.state[j] {
-				case stLower:
-					if dj < -tol && !s.fixed[j] {
-						dr = 1
-					}
-				case stUpper:
-					if dj > tol {
-						dr = -1
-					}
-				case stFree:
-					if dj < -tol {
-						dr = 1
-					} else if dj > tol {
-						dr = -1
-					}
-				}
-				if dr != 0 {
-					score := a / wj
-					if score > bestScore || (score == bestScore && j < best) {
-						best, bestScore, bestDir = j, score, dr
-					}
-				}
-			}
-		}
-		s.cacheJ, s.cacheScore, s.cacheDir = best, bestScore, bestDir
-		s.cacheOK = true
-	} else {
-		for j := 0; j < s.total; j++ {
-			if s.state[j] == stBasic || j == q {
-				continue
-			}
-			arj := s.colDot(j, s.rho)
-			if arj != 0 {
-				s.ddw[2*j] -= ratio * arj
-				if w := arj * arj * gamma; w > s.ddw[2*j+1] {
-					s.ddw[2*j+1] = w
-				}
-			}
-			if s.ddw[2*j+1] > maxW {
-				maxW = s.ddw[2*j+1]
-			}
+		c := int32(s.n + i)
+		arj[c] += s.artSign[i] * ri
+		if s.stamp[c] != gen {
+			s.stamp[c] = gen
+			tl = append(tl, c)
 		}
 	}
-	// The leaving variable becomes nonbasic with reduced cost −d_q/α.
+	s.touched = tl
+	// Apply the reduced-cost / weight deltas over the touched columns
+	// only (per-column updates are independent of order), clearing the
+	// accumulator as we go.
+	for _, c := range tl {
+		j := int(c)
+		v := arj[j]
+		arj[j] = 0
+		if v == 0 || j == q || s.state[j] == stBasic {
+			continue
+		}
+		jj := 2 * j
+		s.ddw[jj] -= ratio * v
+		if w := v * v * gamma; w > s.ddw[jj+1] {
+			s.ddw[jj+1] = w
+		}
+		s.priceLeaf(j)
+	}
+	// The weight maximum over the nonbasic columns other than q, before
+	// the leaving variable joins them.
+	_, maxW := tree.root()
+	// The leaving variable becomes nonbasic with reduced cost −d_q/α;
+	// iterate refreshes its leaf once its state is set.
 	s.ddw[2*leaving] = -ratio
 	s.ddw[2*leaving+1] = math.Max(gamma, 1)
 	s.ddw[2*q] = 0
 	if maxW > 1e10 {
 		s.resetDevex()
 	}
+}
+
+// support appends the ascending nonzero positions of v to dst and
+// resets every other entry v may hold to +0. When ok, only the
+// positions set in mask can be nonzero, and mask is drained; otherwise
+// all of v is scanned.
+func support(v []float64, mask []uint64, ok bool, dst []int) []int {
+	if !ok {
+		for i, x := range v {
+			if x != 0 {
+				dst = append(dst, i)
+			} else {
+				v[i] = 0
+			}
+		}
+		return dst
+	}
+	for w, word := range mask {
+		if word == 0 {
+			continue
+		}
+		mask[w] = 0
+		for word != 0 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if v[i] != 0 {
+				dst = append(dst, i)
+			} else {
+				v[i] = 0
+			}
+		}
+	}
+	return dst
 }
 
 // perturbNoise derives a reproducible pseudo-random factor in [0.5, 1)
@@ -1437,26 +1413,22 @@ func (s *solver) iterate(phase int) (Status, error) {
 		}
 		verifiedOptimal = false
 
-		// FTran the entering column.
-		for i := range s.w {
+		// FTran the entering column. The scattered column's row index
+		// list is its support, so the LU solve can skip pattern
+		// discovery.
+		for _, i := range s.wIdx {
 			s.w[i] = 0
 		}
 		s.scatterCol(j, s.w)
-		// The scattered column's row index list is its support, so the
-		// LU solve can skip pattern discovery.
+		var supp []int
 		if j < s.n {
-			idx, _ := s.prob.A.Col(j)
-			s.bas.ftranSupp(s.w, idx)
+			supp, _ = s.prob.A.Col(j)
 		} else {
 			s.suppOne[0] = j - s.n
-			s.bas.ftranSupp(s.w, s.suppOne[:])
+			supp = s.suppOne[:]
 		}
-		s.wIdx = s.wIdx[:0]
-		for i, v := range s.w {
-			if v != 0 {
-				s.wIdx = append(s.wIdx, i)
-			}
-		}
+		sparse := s.bas.ftranSupp(s.w, supp, s.wMask)
+		s.wIdx = support(s.w, s.wMask, sparse, s.wIdx[:0])
 
 		// Exact reduced cost of the entering column (c_j − c_B·B⁻¹a_j):
 		// cheap given the FTran'd column, and it corrects any drift in
@@ -1466,6 +1438,7 @@ func (s *solver) iterate(phase int) (Status, error) {
 			dq -= s.cost[s.basisOf[i]] * s.w[i]
 		}
 		s.ddw[2*j] = dq
+		s.priceLeaf(j)
 		if _, ok := s.eligible(j); !ok {
 			// The stored reduced cost was stale; the entry is now
 			// corrected, so re-price.
@@ -1527,6 +1500,7 @@ func (s *solver) iterate(phase int) (Status, error) {
 			} else {
 				s.state[j] = stLower
 			}
+			s.priceLeaf(j)
 			continue
 		}
 
@@ -1570,31 +1544,9 @@ func (s *solver) iterate(phase int) (Status, error) {
 		s.inRow[j] = r
 		s.state[j] = stBasic
 		s.xB[r] = enterVal
+		s.priceLeaf(leaving)
 
-		// Maintain the nonbasic list across the swap, and let the
-		// leaving column (absent from the pricing sweep) contend for
-		// the cached entering candidate under the same tie-break.
-		pq := s.nbPos[j]
-		lastPos := int32(len(s.nbList) - 1)
-		lj := s.nbList[lastPos]
-		s.nbList[pq] = lj
-		s.nbPos[lj] = pq
-		s.nbList = s.nbList[:lastPos]
-		s.nbPos[j] = -1
-		s.nbPos[leaving] = int32(len(s.nbList))
-		s.nbList = append(s.nbList, int32(leaving))
-		if s.cacheOK {
-			if dr, ok := s.eligible(leaving); ok {
-				dl := s.ddw[2*leaving]
-				score := dl * dl / s.ddw[2*leaving+1]
-				if score > s.cacheScore || (score == s.cacheScore && leaving < s.cacheJ) {
-					s.cacheJ, s.cacheScore, s.cacheDir = leaving, score, dr
-				}
-			}
-			s.cacheOK = s.cacheJ >= 0
-		}
-
-		s.bas.pushEtaIdx(r, s.w, s.wIdx, 1e-12)
+		s.bas.pushEta(r, s.w, s.wIdx, 1e-12)
 		s.pivots++
 		if s.pivots >= s.opt.RefactorEvery || s.bas.etaNnz() > 40*s.m {
 			if err := s.refactor(); err != nil {

@@ -171,6 +171,18 @@ func TestValidateErrors(t *testing.T) {
 	if _, err := Solve(context.Background(), bad, Options{}); err == nil {
 		t.Fatal("expected error for rhs length mismatch")
 	}
+	// Columns must list their rows strictly ascending, as
+	// sparse.Builder produces them: descending, duplicated and
+	// out-of-range rows are all rejected.
+	for _, rows := range [][]int{{1, 0}, {0, 0}, {0, 2}} {
+		p := &Problem{
+			A: &sparse.Matrix{Rows: 2, Cols: 1, ColPtr: []int{0, 2}, RowIdx: rows, Val: []float64{1, 1}},
+			B: []float64{1, 1}, C: []float64{1}, L: []float64{0}, U: []float64{2},
+		}
+		if _, err := Solve(context.Background(), p, Options{}); err == nil {
+			t.Fatalf("expected error for column rows %v", rows)
+		}
+	}
 }
 
 // checkKKT certifies that sol is optimal for p: primal feasibility,
