@@ -21,24 +21,6 @@ import (
 // water-filling used by the Jahanjou baseline, giving an LP-free
 // ordering baseline to compare against the LP pipeline.
 
-// edgeDemand returns d[j][e] = total demand coflow j places on edge e
-// along its flows' fixed paths. The rows share one backing array: the
-// function runs once per online replan, so allocation count matters.
-func edgeDemand(inst *coflow.Instance) [][]float64 {
-	ne := inst.Graph.NumEdges()
-	d := make([][]float64, len(inst.Coflows))
-	backing := make([]float64, len(inst.Coflows)*ne)
-	for j := range inst.Coflows {
-		d[j] = backing[j*ne : (j+1)*ne : (j+1)*ne]
-		for _, fl := range inst.Coflows[j].Flows {
-			for _, eid := range fl.Path {
-				d[j][eid] += fl.Demand
-			}
-		}
-	}
-	return d
-}
-
 // SincroniaOrder computes the BSSI permutation: repeatedly find the
 // most bottlenecked edge (largest total unscheduled demand), schedule
 // LAST the coflow with the largest demand-to-scaled-weight ratio on
@@ -46,140 +28,197 @@ func edgeDemand(inst *coflow.Instance) [][]float64 {
 // share of the chosen coflow's weight. The returned slice lists coflow
 // indices from the first to run to the last. Requires single path
 // flows (Paths set); ties break by coflow index for determinism.
-//
-// Three structural optimizations keep the greedy usable as a
-// per-arrival online re-planner on 100k-coflow instances, all
-// output-preserving (TestSincroniaOrderIncrementalMatchesRescan pins
-// the permutation against the original):
-//
-//   - per-edge unscheduled totals are maintained incrementally
-//     (scheduling a coflow subtracts its demand vector) instead of
-//     being re-summed over every unscheduled coflow per iteration;
-//   - selection and scaling walk only the coflows that actually touch
-//     the bottleneck edge (per-edge toucher lists, compacted lazily).
-//     Skipping a zero-demand coflow is exact: its selection key was
-//     never computed and its scaling term is a literal ±0.0, whose
-//     subtraction cannot change a float that is never −0;
-//   - the unscheduled set is a linked list over index arrays, so the
-//     fallback "lowest unscheduled index" and removals are O(1).
-//
-// The cost drops from O(n²·edges) to O(n·edges + Σ_e |touchers(e)|),
-// i.e. near-linear when coflows are sparse over the network's edges.
+// Each call orders with a fresh SincroniaScratch; a caller ordering
+// many instances in turn keeps one and calls its Order instead.
 func SincroniaOrder(inst *coflow.Instance) []int {
+	return new(SincroniaScratch).Order(inst)
+}
+
+// SincroniaScratch holds the buffers of the BSSI ordering, so that a
+// caller ordering many instances in turn — the online re-planner
+// orders the residual backlog at every arrival — allocates only when
+// an instance outgrows every earlier one. The zero value is ready to
+// use; a scratch must not be shared between goroutines.
+//
+// The demand a coflow places on an edge (the total demand of its flows
+// routed through it) is stored sparsely, twice:
+//
+//   - CSR, per coflow: rowEdge/rowVal[rowOff[j]:rowOff[j+1]] list the
+//     distinct edges coflow j's paths cross, with its demand on each.
+//     Scheduling a coflow subtracts its row from the per-edge
+//     unscheduled totals, so a pick costs its own edges, not all edges.
+//   - CSC, per edge: colJ/colVal[colOff[e]:colEnd[e]] list the coflows
+//     with positive demand on e (its touchers), ascending, with that
+//     demand. Selection and scaling walk only the bottleneck's
+//     touchers; scheduled ones are compacted out lazily by lowering
+//     colEnd[e]. Skipping a zero-demand coflow is exact: its selection
+//     key was never computed and its scaling term is a literal ±0.0,
+//     whose subtraction cannot change a float that is never −0.
+//
+// Every float is summed in the order a dense coflows × edges matrix
+// gives — per-edge totals in ascending coflow order — and the
+// bottleneck is a linear scan with a 1e-12 tie rule, so the
+// permutation is bit-identical to re-summing every unscheduled coflow
+// at every pick (TestSincroniaOrderIncrementalMatchesRescan pins it).
+// A pick costs O(edges) for the bottleneck scan plus the picked
+// coflow's row and the bottleneck's touchers.
+type SincroniaScratch struct {
+	rowOff  []int32
+	rowEdge []graph.EdgeID
+	rowVal  []float64
+	colOff  []int32
+	colEnd  []int32
+	colJ    []int32
+	colVal  []float64
+
+	acc    []float64 // acc[e]: demand of the coflow being indexed on e
+	stamp  []int32   // stamp[e] == j+1 once coflow j has a row entry on e
+	tot    []float64 // per-edge demand over unscheduled coflows
+	scaled []float64 // w̃_j, mutated as coflows are placed
+	sched  []bool
+	order  []int
+}
+
+// Order computes the BSSI permutation of inst, as SincroniaOrder does,
+// into the scratch's buffers. The returned slice is owned by s and
+// valid until the next call.
+func (s *SincroniaScratch) Order(inst *coflow.Instance) []int {
 	nc := len(inst.Coflows)
 	ne := inst.Graph.NumEdges()
-	// dT[e][j] is the transpose of edgeDemand: the hot loops walk one
-	// edge's demand over ascending coflows, so the per-edge column
-	// layout turns their reads into forward scans.
-	dT := make([][]float64, ne)
-	{
-		backing := make([]float64, ne*nc)
-		for e := range dT {
-			dT[e] = backing[e*nc : (e+1)*nc : (e+1)*nc]
-		}
-		for j := range inst.Coflows {
-			for _, fl := range inst.Coflows[j].Flows {
-				for _, eid := range fl.Path {
-					dT[eid][j] += fl.Demand
+	acc := resize(s.acc, ne)
+	stamp := resize(s.stamp, ne)
+	tot := resize(s.tot, ne)
+	colOff := resize(s.colOff, ne+1)
+	colEnd := resize(s.colEnd, ne)
+	clear(stamp)
+	clear(tot)
+	clear(colEnd) // per-edge toucher counts until the offsets are known
+
+	// CSR rows in ascending coflow order. Each row entry accumulates
+	// its coflow's flows in flow and path order from 0, and the totals
+	// add whole rows in coflow order: a dense matrix's summation order.
+	rowOff := append(s.rowOff[:0], 0)
+	rowEdge, rowVal := s.rowEdge[:0], s.rowVal[:0]
+	for j := range inst.Coflows {
+		start := len(rowEdge)
+		for _, fl := range inst.Coflows[j].Flows {
+			for _, e := range fl.Path {
+				if stamp[e] != int32(j+1) {
+					stamp[e] = int32(j + 1)
+					acc[e] = 0
+					rowEdge = append(rowEdge, e)
 				}
+				acc[e] += fl.Demand
+			}
+		}
+		for _, e := range rowEdge[start:] {
+			v := acc[e]
+			rowVal = append(rowVal, v)
+			tot[e] += v
+			if v > 0 {
+				colEnd[e]++
+			}
+		}
+		rowOff = append(rowOff, int32(len(rowEdge)))
+	}
+	// CSC columns: offsets from the toucher counts, then the row entries
+	// dealt out in ascending coflow order, so each column ascends.
+	colOff[0] = 0
+	for e := 0; e < ne; e++ {
+		colOff[e+1] = colOff[e] + colEnd[e]
+		colEnd[e] = colOff[e]
+	}
+	colJ := resize(s.colJ, int(colOff[ne]))
+	colVal := resize(s.colVal, int(colOff[ne]))
+	for j := 0; j < nc; j++ {
+		for p := rowOff[j]; p < rowOff[j+1]; p++ {
+			if v := rowVal[p]; v > 0 {
+				e := rowEdge[p]
+				colJ[colEnd[e]], colVal[colEnd[e]] = int32(j), v
+				colEnd[e]++
 			}
 		}
 	}
 
-	scaled := make([]float64, nc) // w̃_j, mutated as coflows are placed
-	sched := make([]bool, nc)
-	tot := make([]float64, ne) // per-edge demand over unscheduled coflows
-	touchers := make([][]int, ne)
-	for e := 0; e < ne; e++ {
-		for j, dj := range dT[e] {
-			tot[e] += dj
-			if dj > 0 {
-				touchers[e] = append(touchers[e], j)
-			}
-		}
-	}
+	scaled := resize(s.scaled, nc)
+	sched := resize(s.sched, nc)
+	order := resize(s.order, nc)
+	clear(sched)
 	for j := range inst.Coflows {
 		scaled[j] = inst.Coflows[j].Weight
 	}
-	// Unscheduled coflows as a linked list in ascending index order:
-	// head is the fallback pick, removal is O(1).
-	next := make([]int, nc+1)
-	prev := make([]int, nc+1)
-	head := 0
-	for j := 0; j <= nc; j++ {
-		next[j] = j + 1
-		prev[j] = j - 1
-	}
-	remove := func(j int) {
-		if prev[j] < 0 {
-			head = next[j]
-		} else {
-			next[prev[j]] = next[j]
-		}
-		if next[j] <= nc {
-			prev[next[j]] = prev[j]
-		}
-	}
-	order := make([]int, nc)
+	head := 0 // lowest unscheduled coflow, once advanced past sched ones
 	for k := nc - 1; k >= 0; k-- {
 		// Most bottlenecked edge among unscheduled coflows.
-		bottleneck, load := graph.EdgeID(0), -1.0
+		bottleneck, load := 0, -1.0
 		for e := 0; e < ne; e++ {
 			if tot[e] > load+1e-12 {
-				bottleneck, load = graph.EdgeID(e), tot[e]
+				bottleneck, load = e, tot[e]
 			}
 		}
 		// Weighted-largest job on the bottleneck goes last. A scaled
 		// weight at (or below) zero means the coflow's urgency is spent:
 		// it is always preferred for the last slot. Walking the
 		// ascending toucher list (compacting out scheduled coflows as
-		// we go) preserves the original ascending-index tie-break.
-		best, bestKey := -1, math.Inf(-1)
-		db := dT[bottleneck]
-		lst := touchers[bottleneck]
-		w := 0
-		for _, j := range lst {
+		// we go) preserves the ascending-index tie-break.
+		best, bestKey, dbb := -1, math.Inf(-1), 0.0
+		lo, w := colOff[bottleneck], colOff[bottleneck]
+		for p := lo; p < colEnd[bottleneck]; p++ {
+			j := colJ[p]
 			if sched[j] {
 				continue
 			}
-			lst[w] = j
+			v := colVal[p]
+			colJ[w], colVal[w] = j, v
 			w++
 			key := math.Inf(1)
 			if scaled[j] > 1e-12 {
-				key = db[j] / scaled[j]
+				key = v / scaled[j]
 			}
 			if key > bestKey {
-				best, bestKey = j, key
+				best, bestKey, dbb = int(j), key, v
 			}
 		}
-		lst = lst[:w]
-		touchers[bottleneck] = lst
+		colEnd[bottleneck] = w
 		if best < 0 {
 			// No unscheduled coflow touches the bottleneck (e.g. zero
 			// residual demand everywhere); place the lowest index.
+			for sched[head] {
+				head++
+			}
 			best = head
 		}
 		order[k] = best
 		sched[best] = true
-		remove(best)
-		for e := 0; e < ne; e++ {
-			tot[e] -= dT[e][best]
+		for p := rowOff[best]; p < rowOff[best+1]; p++ {
+			tot[rowEdge[p]] -= rowVal[p]
 		}
 		// Scale: charge each remaining coflow its proportional share of
 		// the chosen coflow's scaled weight (the primal-dual step).
 		// Coflows off the bottleneck keep their weight exactly (their
 		// share is a true zero), so only touchers are visited.
-		if dbb := db[best]; dbb > 1e-12 {
+		if dbb > 1e-12 {
 			sb := scaled[best]
-			for _, j := range lst {
-				if sched[j] {
-					continue
+			for p := lo; p < w; p++ {
+				if j := colJ[p]; !sched[j] {
+					scaled[j] -= sb * colVal[p] / dbb
 				}
-				scaled[j] -= sb * db[j] / dbb
 			}
 		}
 	}
+	s.acc, s.stamp, s.tot, s.colOff, s.colEnd = acc, stamp, tot, colOff, colEnd
+	s.rowOff, s.rowEdge, s.rowVal, s.colJ, s.colVal = rowOff, rowEdge, rowVal, colJ, colVal
+	s.scaled, s.sched, s.order = scaled, sched, order
 	return order
+}
+
+// resize returns b with length n, reallocating only when its capacity
+// is short. The contents are unspecified.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 // Sincronia runs the full baseline: BSSI ordering followed by

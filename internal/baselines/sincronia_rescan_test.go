@@ -1,11 +1,13 @@
 package baselines
 
-// Pins the incremental per-edge totals of SincroniaOrder to the
-// original implementation, which re-summed every unscheduled coflow's
-// demand on every edge at every iteration. The re-summing variant is
-// kept here verbatim as the executable spec; the property test runs
-// both over seeded random instances on two networks and demands the
-// identical permutation. (Float addition is order-sensitive, so the
+// Pins SincroniaOrder — sparse CSR/CSC demand, incremental per-edge
+// totals, reusable scratch — to the original implementation, which
+// re-summed every unscheduled coflow's demand on every edge at every
+// iteration over a dense coflows × edges matrix. The re-summing variant
+// is kept here verbatim as the executable spec; the property test runs
+// both over seeded random instances on three networks and demands the
+// identical permutation, also when one scratch orders instances of
+// changing size in turn. (Float addition is order-sensitive, so the
 // incremental totals could in principle flip a bottleneck choice on a
 // sub-1e-12 near-tie between two edges; this sweep is the evidence no
 // realistic instance gets close.)
@@ -16,8 +18,25 @@ import (
 
 	"repro/internal/coflow"
 	"repro/internal/graph"
+	"repro/internal/topo"
 	"repro/internal/workload"
 )
+
+// edgeDemand returns d[j][e] = total demand coflow j places on edge e
+// along its flows' fixed paths.
+func edgeDemand(inst *coflow.Instance) [][]float64 {
+	ne := inst.Graph.NumEdges()
+	d := make([][]float64, len(inst.Coflows))
+	for j := range inst.Coflows {
+		d[j] = make([]float64, ne)
+		for _, fl := range inst.Coflows[j].Flows {
+			for _, eid := range fl.Path {
+				d[j][eid] += fl.Demand
+			}
+		}
+	}
+	return d
+}
 
 // sincroniaOrderRescan is the pre-optimization SincroniaOrder.
 func sincroniaOrderRescan(inst *coflow.Instance) []int {
@@ -80,30 +99,62 @@ func sincroniaOrderRescan(inst *coflow.Instance) []int {
 }
 
 func TestSincroniaOrderIncrementalMatchesRescan(t *testing.T) {
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"swan", graph.SWAN(1)},
-		{"gscale", graph.GScale(1)},
+	leafSpine, err := topo.New("leaf-spine:leaves=8,spines=4,hosts=4")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tg := range graphs {
-		for seed := int64(0); seed < 6; seed++ {
-			in, err := workload.Generate(workload.Config{
-				Kind: workload.FB, Graph: tg.g, NumCoflows: 40, Seed: seed,
-				MeanInterarrival: 1, AssignPaths: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := SincroniaOrder(in)
-			want := sincroniaOrderRescan(in)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s seed %d: incremental order diverges at position %d:\n got %v\nwant %v",
-						tg.name, seed, i, got, want)
-				}
+	graphs := []struct {
+		name      string
+		g         *graph.Graph
+		endpoints []graph.NodeID
+	}{
+		{"swan", graph.SWAN(1), nil},
+		{"gscale", graph.GScale(1), nil},
+		{"leaf-spine", leafSpine.Graph, leafSpine.Endpoints},
+	}
+	gen := func(t *testing.T, g *graph.Graph, endpoints []graph.NodeID, n int, seed int64) *coflow.Instance {
+		t.Helper()
+		in, err := workload.Generate(workload.Config{
+			Kind: workload.FB, Graph: g, NumCoflows: n, Seed: seed,
+			MeanInterarrival: 1, AssignPaths: true, Endpoints: endpoints,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	check := func(t *testing.T, what string, got []int, in *coflow.Instance) {
+		t.Helper()
+		want := sincroniaOrderRescan(in)
+		if len(got) != len(want) {
+			t.Fatalf("%s: order has %d entries, rescan %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: order diverges at position %d:\n got %v\nwant %v", what, i, got, want)
 			}
 		}
 	}
+	for _, tg := range graphs {
+		for seed := int64(0); seed < 6; seed++ {
+			in := gen(t, tg.g, tg.endpoints, 40, seed)
+			check(t, tg.name+" fresh", SincroniaOrder(in), in)
+		}
+	}
+
+	// One scratch orders instances in turn: large, small, large, across
+	// networks with different edge counts, so every buffer is both
+	// reused with stale contents and grown.
+	var s SincroniaScratch
+	for _, tg := range graphs {
+		for _, n := range []int{120, 7, 90} {
+			in := gen(t, tg.g, tg.endpoints, n, int64(n))
+			check(t, tg.name+" reused", s.Order(in), in)
+		}
+	}
+	// A zero-demand flow enters the totals and no toucher list; the
+	// order must still match the rescan, including after reuse.
+	in := gen(t, graph.SWAN(1), nil, 30, 5)
+	in.Coflows[3].Flows[0].Demand = 0
+	check(t, "zero-demand", s.Order(in), in)
 }

@@ -339,13 +339,18 @@ func (p *lasPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
 //
 // The filling is incremental across rounds: per-edge unfrozen-flow
 // counts are maintained by decrement as flows freeze (the reference
-// recounts every path every round), the uniform raise is applied per
-// counted edge as count[e] identical subtractions (the same float
-// sequence the reference's per-flow path walk produces, so rates and
-// freeze rounds are bit-identical), and freezing walks a saturated
-// edge's reverse index instead of rescanning every live flow. A round
-// therefore costs O(counted edges + flows frozen this round), and each
-// flow is frozen exactly once per event.
+// recounts every path every round), the uniform raise δ lowers each
+// counted edge's residual in closed form, by count[e]·δ in one step,
+// and freezing walks a saturated edge's reverse index instead of
+// rescanning every live flow. A round therefore costs O(counted edges
+// + flows frozen this round), and each flow is frozen exactly once per
+// event.
+//
+// Float contract: the unregistered fairReference subtracts δ once per
+// flow through an edge, so residuals, and the deltas and rates derived
+// from them, may differ from it in the last bits. The differential
+// tests hold fairPolicy to the reference's event sequence exactly and
+// to its times, completions and aggregates within 1e-9 relative.
 type fairPolicy struct {
 	g         *graph.Graph
 	caps      []float64
@@ -437,8 +442,7 @@ func (p *fairPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
 	// the residual share residual[e]/count[e] — the same value the
 	// reference's all-flows path scan finds (same multiset; a min is
 	// order-independent) — and every counted edge then loses delta once
-	// per unfrozen flow through it, as count[e] sequential subtractions
-	// (the same float sequence the reference's per-flow walk produces).
+	// per unfrozen flow through it, count[e]·delta in one subtraction.
 	// The small-count shares avoid the division: x/1 is x, and x/2 and
 	// x·0.5 round to the identical float.
 	//
@@ -488,14 +492,7 @@ func (p *fairPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
 			specValid = false
 			for _, e := range used {
 				n := count[e]
-				r := residual[e]
-				if n == 1 {
-					r -= delta
-				} else {
-					for k := n; k > 0; k-- {
-						r -= delta
-					}
-				}
+				r := residual[e] - float64(n)*delta
 				residual[e] = r
 				if r <= eps {
 					// Saturated: all its unfrozen flows freeze this
@@ -624,15 +621,19 @@ func (p *fairPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
 // currently-known residual instance at every arrival (and epoch tick),
 // then water-fills by that order — the natural online adaptation of
 // the offline bottleneck greedy. Between replans the cached order is
-// pruned of finished coflows so water-filling stays O(active), and the
-// residual sub-instance is rebuilt into reusable buffers (the ordering
-// does not retain it), so a replan allocates nothing beyond what the
+// pruned of finished coflows so water-filling stays O(active). A
+// replan rebuilds the residual sub-instance into reusable buffers (the
+// ordering does not retain it) and orders it with a kept
+// baselines.SincroniaScratch, whose sparse per-coflow (CSR) and
+// per-edge (CSC) demand lists are sized by the backlog's flows rather
+// than edges × coflows, so a replan allocates nothing beyond what the
 // backlog's growth forces.
 type sincroniaOnline struct {
-	order []int // cached priority order, original coflow indices
-	sub   coflow.Instance
-	back  []int
-	flows []coflow.Flow // backing for all sub-instance flow slices
+	order   []int // cached priority order, original coflow indices
+	sub     coflow.Instance
+	back    []int
+	flows   []coflow.Flow // backing for all sub-instance flow slices
+	scratch baselines.SincroniaScratch
 }
 
 func (*sincroniaOnline) Name() string { return NameSincroniaOnline }
@@ -646,7 +647,7 @@ func (p *sincroniaOnline) Allocate(_ context.Context, st *State, out *Alloc) err
 			}
 			return nil
 		}
-		order := baselines.SincroniaOrder(sub)
+		order := p.scratch.Order(sub)
 		p.order = p.order[:0]
 		for _, s := range order {
 			p.order = append(p.order, back[s])

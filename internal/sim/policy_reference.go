@@ -12,8 +12,9 @@ import (
 // the event loop into Simulate and simulateReference: the registered
 // "las" and "fair" policies (policy.go) maintain their state
 // incrementally across events, and the differential property tests
-// (policy_differential_test.go) hold them bit-identical to these
-// from-scratch implementations on every topology family. Neither
+// (policy_differential_test.go) hold them to these from-scratch
+// implementations on every topology family: las bit-identical, fair to
+// the same event sequence with times within 1e-9 relative. Neither
 // reference is registered; production runs always get the fast path.
 
 // lasReference re-sorts the full active set by attained service at
@@ -42,9 +43,10 @@ func (p *lasReference) Allocate(_ context.Context, st *State, out *Alloc) error 
 // event it rebuilds the live-flow list, then every round recounts all
 // unfrozen paths, applies the uniform raise flow by flow, and rescans
 // every flow for freezing — O(rounds · live · path) per event. The
-// registered fairPolicy produces bit-identical rates with per-edge
-// counts maintained across rounds and freezing driven by a
-// saturated-edge reverse index.
+// registered fairPolicy produces the same rates up to last-bit
+// rounding, with per-edge counts maintained across rounds, a
+// closed-form per-edge raise, and freezing driven by a saturated-edge
+// reverse index.
 type fairReference struct {
 	g        *graph.Graph
 	live     []refLiveFlow

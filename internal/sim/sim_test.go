@@ -316,3 +316,36 @@ func TestIdleGapSkipsEpochTicks(t *testing.T) {
 		t.Fatalf("completions = %v", res.Completions)
 	}
 }
+
+// TestSincroniaOnlineReplanAllocatesNothing pins sincroniaOnline's
+// buffer reuse: once a replan has sized the residual sub-instance and
+// the ordering scratch for a backlog, replanning the unchanged backlog
+// allocates nothing.
+func TestSincroniaOnlineReplanAllocatesNothing(t *testing.T) {
+	in := fbInstance(t, 200, 0.1, 3)
+	st := newState(in)
+	for j := range in.Coflows {
+		st.Now = math.Max(st.Now, in.Coflows[j].Release)
+		st.Active = append(st.Active, j)
+		st.activeMask[j] = true
+	}
+	st.Replan = true
+	pol, err := New(NameSincroniaOnline, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Alloc
+	replan := func() {
+		out.Reset()
+		if err := pol.Allocate(context.Background(), st, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replan()
+	if len(out.Entries) == 0 {
+		t.Fatal("replan granted no flow")
+	}
+	if n := testing.AllocsPerRun(20, replan); n != 0 {
+		t.Fatalf("replan on an unchanged backlog allocates %v times", n)
+	}
+}
