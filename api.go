@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/spec"
 	"repro/internal/timegrid"
 	"repro/internal/topo"
 	"repro/internal/validate"
@@ -33,7 +32,8 @@ type (
 	EdgeID = graph.EdgeID
 	// TransmissionModel selects single path or free path routing.
 	TransmissionModel = coflow.Model
-	// Result is a full pipeline outcome (LP bound, heuristic, Stretch).
+	// Result is a full pipeline outcome (LP bound, heuristic, Stretch):
+	// RunReport.Engine.Core of a "stretch" or "heuristic" run.
 	Result = core.Result
 	// Evaluated is a verified schedule with its metrics.
 	Evaluated = core.Evaluated
@@ -44,14 +44,15 @@ type (
 	// SchedulerResult is the uniform outcome type of the scheduler
 	// engine: every registered algorithm (Stretch pipeline, λ=1
 	// heuristic, Terra, Jahanjou, Sincronia greedy, …) reports through
-	// it, so algorithms compare side by side.
+	// it, so algorithms compare side by side. RunReport.Engine carries
+	// it for offline runs.
 	SchedulerResult = engine.Result
-	// SimOptions tune the online discrete-event simulator: the policy
-	// name, the epoch re-planning period, and the knobs handed down to
-	// wrapped engine schedulers.
+	// SimOptions tune the online discrete-event simulator (ValidateSim
+	// takes them); Spec runs set the same knobs through SpecOptions.
 	SimOptions = sim.Options
 	// SimResult reports an online simulation: per-coflow completion
 	// times, weighted/average CCT, makespan, and the event trace.
+	// RunReport.Sim carries it for online runs.
 	SimResult = sim.Result
 	// Topology is a generated network plus the endpoints workload
 	// flows may use (internal/topo).
@@ -104,156 +105,16 @@ func GenerateWorkload(cfg WorkloadConfig) (*Instance, error) {
 	return workload.Generate(cfg)
 }
 
-// SchedOptions tune the scheduling pipeline. The zero value uses
-// sensible defaults: an automatically sized uniform grid capped at
-// MaxSlots (default 48) and 20 Stretch samples.
-type SchedOptions struct {
-	// MaxSlots caps the uniform time grid (0 = 48).
-	MaxSlots int
-	// Trials is the number of randomized Stretch roundings (0 = 20;
-	// negative disables Stretch and keeps only the λ=1 heuristic).
-	Trials int
-	// Seed drives the λ sampling. Each trial derives its own RNG from
-	// the seed and its index, so a fixed seed reproduces identical
-	// results at any worker count.
-	Seed int64
-	// Workers bounds the goroutines used for Stretch trials (0 =
-	// GOMAXPROCS; 1 forces serial execution). Results do not depend
-	// on the worker count.
-	Workers int
-	// DisableCompaction turns off the Section 6.1 idle-slot pass.
-	DisableCompaction bool
-}
-
-// specOptions maps the legacy knobs onto Spec options; the engine
-// applies the same defaults normalize always did (48-slot cap, 20
-// trials, negative trials disable).
-func (o SchedOptions) specOptions() SpecOptions {
-	return SpecOptions{
-		MaxSlots:          o.MaxSlots,
-		Trials:            o.Trials,
-		Seed:              o.Seed,
-		Workers:           o.Workers,
-		DisableCompaction: o.DisableCompaction,
-	}
-}
-
-// ScheduleSinglePath runs the full pipeline in the single path model:
-// every flow must carry a fixed Path (see
-// Instance.AssignRandomShortestPaths).
-//
-// Deprecated: build a Spec with Scheduler "stretch" and call Run; this
-// facade is a thin wrapper over it and cannot be cancelled.
-func ScheduleSinglePath(inst *Instance, opt SchedOptions) (*Result, error) {
-	return run(inst, coflow.SinglePath, opt)
-}
-
-// ScheduleFreePath runs the full pipeline in the free path model.
-//
-// Deprecated: build a Spec with Scheduler "stretch" and call Run.
-func ScheduleFreePath(inst *Instance, opt SchedOptions) (*Result, error) {
-	return run(inst, coflow.FreePath, opt)
-}
-
-// ScheduleMultiPath runs the full pipeline in the intermediate
-// multi path model: every flow must carry a candidate path set (see
-// Instance.AssignKShortestPaths).
-//
-// Deprecated: build a Spec with Scheduler "stretch" and call Run.
-func ScheduleMultiPath(inst *Instance, opt SchedOptions) (*Result, error) {
-	return run(inst, coflow.MultiPath, opt)
-}
-
-// run compiles the legacy facade call down to a Spec and executes it
-// through the unified front door. The "stretch" engine scheduler is
-// the same pipeline the facades always ran (LP + λ=1 heuristic + k
-// roundings over DefaultGrid), with one improvement: a horizon that
-// proves too short now doubles adaptively instead of failing.
-func run(inst *Instance, mode coflow.Model, opt SchedOptions) (*Result, error) {
-	rep, err := Run(context.Background(), Spec{
-		Instance:  inst,
-		Model:     spec.ModelName(mode),
-		Scheduler: "stretch",
-		Options:   opt.specOptions(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Engine.Core, nil
-}
-
 // Schedulers lists the names registered with the scheduler engine,
 // sorted: "heuristic", "jahanjou", "sincronia-greedy", "stretch",
 // "terra", plus any the caller registered.
 func Schedulers() []string { return engine.Names() }
 
-// ScheduleWith runs the named engine scheduler on the instance in the
-// given transmission model. Unlike the Schedule* pipeline facades,
-// ScheduleWith reaches every registered algorithm — baselines
-// included — through one call. Cancellation via ctx is best-effort:
-// it is checked before dispatch and between Stretch trials, but a
-// long-running LP solve or baseline simulation is not interrupted
-// mid-flight.
-//
-// Deprecated: build a Spec with the scheduler name and call Run; the
-// returned report's Engine field is this function's result.
-func ScheduleWith(ctx context.Context, name string, inst *Instance, mode TransmissionModel, opt SchedOptions) (*SchedulerResult, error) {
-	rep, err := Run(ctx, Spec{
-		Instance:  inst,
-		Model:     spec.ModelName(mode),
-		Scheduler: name,
-		Options:   opt.specOptions(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Engine, nil
-}
-
 // UniformGrid exposes grid construction for callers that size the time
 // expansion themselves.
 func UniformGrid(slots int) timegrid.Grid { return timegrid.Uniform(slots) }
 
-// Simulate runs the online discrete-event simulator (internal/sim) on
-// the instance in the single path model: coflows are revealed at their
-// release times, the policy's rate allocation is refreshed at every
-// event (arrivals, flow completions, epoch ticks), and planning
-// policies recompute their priority order at arrivals and epoch
-// ticks. Unlike the Schedule* facades —
-// which hand the whole instance to a clairvoyant offline algorithm —
-// Simulate measures what a scheduler can do without knowing the
-// future. Results are in the same slot units as offline schedules, so
-// the two compare directly.
-//
-// Deprecated: build a Spec with the policy name and call Run; the
-// returned report's Sim field is this function's result.
-func Simulate(ctx context.Context, inst *Instance, opt SimOptions) (*SimResult, error) {
-	policy := opt.Policy
-	if policy == "" {
-		policy = sim.NameLAS // the simulator's historical default
-	}
-	rep, err := Run(ctx, Spec{
-		Instance: inst,
-		Policy:   policy,
-		Options: SpecOptions{
-			MaxSlots:    opt.MaxSlots,
-			Trials:      opt.Trials,
-			Seed:        opt.Seed,
-			Workers:     opt.Workers,
-			Epoch:       opt.Epoch,
-			Clairvoyant: opt.Clairvoyant,
-			CheckEvery:  opt.CheckEvery,
-			MaxEvents:   opt.MaxEvents,
-			WarmLP:      opt.WarmLP,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Sim, nil
-}
-
-// SimPolicies lists the online policy names Simulate accepts:
+// SimPolicies lists the online policy names Spec.Policy accepts:
 // "fair", "fifo", "las", "sincronia-online", and one
 // "epoch:<scheduler>" re-planning adapter per compatible engine
 // scheduler.
@@ -283,27 +144,20 @@ func Validate(inst *Instance, res *SchedulerResult) error {
 // ValidateSim replays an online simulation result against the
 // instance: trace shape and ordering, completion events versus
 // reported completions, aggregates, trivial lower bounds, and per-edge
-// volume versus each edge's active window. Pass the SimOptions the run
-// used so the oracle knows the reveal convention (Clairvoyant).
+// volume versus each edge's active window. opt.Clairvoyant must match
+// the run's (SpecOptions.Clairvoyant) so the oracle knows the reveal
+// convention; the other fields are ignored.
 func ValidateSim(inst *Instance, res *SimResult, opt SimOptions) error {
 	return validate.SimResult(inst, res, opt.Clairvoyant).Err()
 }
 
-// RunBenchmarks executes the benchmark-regression suite
+// RunBenchmarksContext executes the benchmark-regression suite
 // (internal/bench) at the tier named in cfg: simulator throughput
-// over the policy × topology × size grid, the headline
-// BenchmarkSimulateFB ref-vs-optimized speedup, and the scheduler/LP
-// micro-benchmarks. The report serializes to BENCH_sim.json via its
+// over the policy × topology × size grid, the BenchmarkSimulateFB
+// cell, and the scheduler/LP micro-benchmarks. ctx is checked between
+// benchmark cells. The report serializes to BENCH_sim.json via its
 // WriteFile method; cmd/coflowsim's -bench flag drives this end to
 // end.
-// Deprecated: RunBenchmarks cannot be cancelled; use
-// RunBenchmarksContext.
-func RunBenchmarks(cfg BenchConfig) (*BenchReport, error) {
-	return RunBenchmarksContext(context.Background(), cfg)
-}
-
-// RunBenchmarksContext is RunBenchmarks with cancellation: ctx is
-// checked between benchmark cells.
 func RunBenchmarksContext(ctx context.Context, cfg BenchConfig) (*BenchReport, error) {
 	return bench.Run(ctx, cfg)
 }

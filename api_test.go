@@ -17,12 +17,34 @@ func smallInstance(t *testing.T, paths bool) *Instance {
 	return in
 }
 
+// runOffline runs the named engine scheduler on an inline instance
+// through the Spec front door.
+func runOffline(t *testing.T, name string, in *Instance, model string, opt SpecOptions) *SchedulerResult {
+	t.Helper()
+	rep, err := Run(context.Background(), Spec{Instance: in, Model: model, Scheduler: name, Options: opt})
+	if err != nil {
+		t.Fatalf("%s (%s): %v", name, model, err)
+	}
+	return rep.Engine
+}
+
+// runOnline runs the named sim policy on an inline instance through
+// the Spec front door.
+func runOnline(t *testing.T, policy string, in *Instance, opt SpecOptions) *SimResult {
+	t.Helper()
+	rep, err := Run(context.Background(), Spec{Instance: in, Policy: policy, Options: opt})
+	if err != nil {
+		t.Fatalf("%s: %v", policy, err)
+	}
+	return rep.Sim
+}
+
+// TestScheduleFreePathFacade: the Stretch pipeline in the free path
+// model reports a heuristic above the LP bound and one sample per
+// trial.
 func TestScheduleFreePathFacade(t *testing.T) {
 	in := smallInstance(t, false)
-	res, err := ScheduleFreePath(in, SchedOptions{MaxSlots: 24, Trials: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOffline(t, "stretch", in, "free", SpecOptions{MaxSlots: 24, Trials: 3, Seed: 1}).Core
 	if res.Heuristic.Weighted < res.LowerBound-1e-6 {
 		t.Fatalf("heuristic %v below bound %v", res.Heuristic.Weighted, res.LowerBound)
 	}
@@ -31,12 +53,11 @@ func TestScheduleFreePathFacade(t *testing.T) {
 	}
 }
 
+// TestScheduleSinglePathFacade: negative Trials keeps only the λ=1
+// heuristic, whose single path schedule verifies.
 func TestScheduleSinglePathFacade(t *testing.T) {
 	in := smallInstance(t, true)
-	res, err := ScheduleSinglePath(in, SchedOptions{MaxSlots: 24, Trials: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOffline(t, "stretch", in, "single", SpecOptions{MaxSlots: 24, Trials: -1}).Core
 	if res.Stretch != nil {
 		t.Fatal("negative Trials should disable stretch")
 	}
@@ -63,14 +84,9 @@ func TestFacadeTopologies(t *testing.T) {
 func TestFacadeModelsDiffer(t *testing.T) {
 	// Free path LP bound ≤ single path LP bound on the same instance.
 	in := smallInstance(t, true)
-	sp, err := ScheduleSinglePath(in, SchedOptions{MaxSlots: 24, Trials: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := ScheduleFreePath(in, SchedOptions{MaxSlots: 24, Trials: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := SpecOptions{MaxSlots: 24, Trials: -1}
+	sp := runOffline(t, "stretch", in, "single", opt).Core
+	fp := runOffline(t, "stretch", in, "free", opt).Core
 	if fp.LowerBound > sp.LowerBound+1e-6 {
 		t.Fatalf("free path bound %v above single path %v", fp.LowerBound, sp.LowerBound)
 	}
@@ -78,14 +94,9 @@ func TestFacadeModelsDiffer(t *testing.T) {
 
 func TestDeterministicPipeline(t *testing.T) {
 	in := smallInstance(t, false)
-	a, err := ScheduleFreePath(in, SchedOptions{MaxSlots: 24, Trials: 4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ScheduleFreePath(in, SchedOptions{MaxSlots: 24, Trials: 4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := SpecOptions{MaxSlots: 24, Trials: 4, Seed: 7}
+	a := runOffline(t, "stretch", in, "free", opt).Core
+	b := runOffline(t, "stretch", in, "free", opt).Core
 	if a.LowerBound != b.LowerBound || a.Stretch.AvgWeighted != b.Stretch.AvgWeighted {
 		t.Fatal("pipeline is not deterministic for a fixed seed")
 	}
@@ -98,30 +109,29 @@ func TestSchedulersRegistry(t *testing.T) {
 	}
 }
 
+// TestScheduleWithFacade: every registered scheduler runs by name
+// through Run, and an unknown name is rejected.
 func TestScheduleWithFacade(t *testing.T) {
 	single := smallInstance(t, true)
 	free := smallInstance(t, false)
 	for _, tc := range []struct {
-		name string
-		in   *Instance
-		mode TransmissionModel
+		name  string
+		in    *Instance
+		model string
 	}{
-		{"stretch", free, FreePath},
-		{"heuristic", single, SinglePath},
-		{"terra", free, FreePath},
-		{"jahanjou", single, SinglePath},
-		{"sincronia-greedy", single, SinglePath},
+		{"stretch", free, "free"},
+		{"heuristic", single, "single"},
+		{"terra", free, "free"},
+		{"jahanjou", single, "single"},
+		{"sincronia-greedy", single, "single"},
 	} {
-		res, err := ScheduleWith(context.Background(), tc.name, tc.in, tc.mode,
-			SchedOptions{MaxSlots: 24, Trials: 3, Seed: 1, Workers: 2})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		res := runOffline(t, tc.name, tc.in, tc.model,
+			SpecOptions{MaxSlots: 24, Trials: 3, Seed: 1, Workers: 2})
 		if res.Scheduler != tc.name || res.Weighted <= 0 {
 			t.Fatalf("%s: bad result %+v", tc.name, res)
 		}
 	}
-	if _, err := ScheduleWith(context.Background(), "nope", free, FreePath, SchedOptions{}); err == nil {
+	if _, err := Run(context.Background(), Spec{Instance: free, Model: "free", Scheduler: "nope"}); err == nil {
 		t.Fatal("unknown scheduler accepted")
 	}
 }
@@ -130,14 +140,8 @@ func TestScheduleWithFacade(t *testing.T) {
 // engine's determinism guarantee.
 func TestFacadeWorkersDeterministic(t *testing.T) {
 	in := smallInstance(t, false)
-	a, err := ScheduleFreePath(in, SchedOptions{MaxSlots: 24, Trials: 6, Seed: 9, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ScheduleFreePath(in, SchedOptions{MaxSlots: 24, Trials: 6, Seed: 9, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runOffline(t, "stretch", in, "free", SpecOptions{MaxSlots: 24, Trials: 6, Seed: 9, Workers: 1}).Core
+	b := runOffline(t, "stretch", in, "free", SpecOptions{MaxSlots: 24, Trials: 6, Seed: 9, Workers: 8}).Core
 	if a.Stretch.BestWeighted != b.Stretch.BestWeighted ||
 		a.Stretch.AvgWeighted != b.Stretch.AvgWeighted ||
 		a.Stretch.BestLambda != b.Stretch.BestLambda {
@@ -145,14 +149,11 @@ func TestFacadeWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestSimulateFacade: the online simulator is reachable from the root
-// package and its policy registry is populated.
+// TestSimulateFacade: the online simulator is reachable through Run
+// and its policy registry is populated.
 func TestSimulateFacade(t *testing.T) {
 	in := smallInstance(t, true)
-	res, err := Simulate(context.Background(), in, SimOptions{Policy: "las"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnline(t, "las", in, SpecOptions{})
 	if res.Policy != "las" || res.Makespan <= 0 || len(res.Completions) != len(in.Coflows) {
 		t.Fatalf("bad result %+v", res)
 	}
@@ -178,17 +179,9 @@ func TestSimulateVsOfflineUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := ScheduleWith(context.Background(), "stretch", in, SinglePath,
-		SchedOptions{MaxSlots: 16, Trials: 3, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := Simulate(context.Background(), in, SimOptions{
-		Policy: "epoch:stretch", MaxSlots: 16, Trials: 3, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := SpecOptions{MaxSlots: 16, Trials: 3, Seed: 5}
+	off := runOffline(t, "stretch", in, "single", opt)
+	on := runOnline(t, "epoch:stretch", in, opt)
 	if on.WeightedCCT > 2*off.Weighted {
 		t.Fatalf("online %.3f > 2x offline %.3f", on.WeightedCCT, off.Weighted)
 	}
@@ -226,10 +219,7 @@ func TestValidateFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ScheduleWith(context.Background(), "sincronia-greedy", in, SinglePath, SchedOptions{MaxSlots: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOffline(t, "sincronia-greedy", in, "single", SpecOptions{MaxSlots: 16})
 	if err := Validate(in, res); err != nil {
 		t.Fatalf("valid result rejected: %v", err)
 	}
@@ -238,11 +228,8 @@ func TestValidateFacade(t *testing.T) {
 		t.Fatal("tampered result accepted")
 	}
 
-	opt := SimOptions{Policy: "las", Seed: 1}
-	sres, err := Simulate(context.Background(), in, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sres := runOnline(t, "las", in, SpecOptions{Seed: 1})
+	opt := SimOptions{} // not clairvoyant, like the run
 	if err := ValidateSim(in, sres, opt); err != nil {
 		t.Fatalf("valid sim result rejected: %v", err)
 	}

@@ -259,9 +259,9 @@ func BenchmarkJahanjou(b *testing.B) {
 // BenchmarkSimulateFB tracks the online event loop's throughput
 // (events/sec) on an FB workload with the LP-free online Sincronia
 // policy, so regressions in the simulator's per-event work show up
-// independently of LP solver cost. The n=2000 size is the tier the
-// benchmark-regression harness (internal/bench) records ref-vs-
-// optimized speedups for in BENCH_sim.json.
+// independently of LP solver cost. The n=2000 size is the cell the
+// benchmark-regression harness (internal/bench) records in
+// BENCH_sim.json.
 func BenchmarkSimulateFB(b *testing.B) {
 	for _, n := range []int{32, 2000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -276,11 +276,11 @@ func BenchmarkSimulateFB(b *testing.B) {
 			b.ResetTimer()
 			events := 0
 			for i := 0; i < b.N; i++ {
-				res, err := Simulate(context.Background(), in, SimOptions{Policy: "sincronia-online"})
+				rep, err := Run(context.Background(), Spec{Instance: in, Policy: "sincronia-online"})
 				if err != nil {
 					b.Fatal(err)
 				}
-				events += res.Events
+				events += rep.Events
 			}
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 		})

@@ -1,6 +1,7 @@
 // Command coflowsim is the experiment driver: it regenerates the
-// paper's figures, generates workload instances, and schedules single
-// instances with the Stretch pipeline.
+// paper's figures, generates workload instances, schedules single
+// instances with the Stretch pipeline or any engine scheduler, runs
+// the online simulator, and drives the benchmark-regression harness.
 //
 // Usage:
 //
@@ -12,6 +13,7 @@
 //	coflowsim -figure t1                 # topology sweep (internal/topo)
 //	coflowsim -gen fb -coflows 20 -topology gscale -out inst.json
 //	coflowsim -run inst.json -model free -trials 20
+//	coflowsim -scheduler terra -model free -run inst.json
 //	coflowsim -scheduler list            # names in the engine registry
 //	coflowsim -scheduler stretch         # run one engine scheduler
 //	coflowsim -scheduler all -model single -coflows 8
@@ -25,24 +27,27 @@
 //	coflowsim -bench -bench-tier 100k -bench-tol 0.25 -v
 //	coflowsim -spec spec.json -stats     # telemetry snapshot as JSON on stderr
 //
-// Every branch compiles its flags down to the declarative Spec of
-// internal/spec and executes through the unified Run/Sweep front door
-// — the same engine behind the repro library API and the coflowd
-// HTTP service — so the three entry points cannot drift. -spec takes
-// the Spec JSON directly: a Run document prints one RunReport, a
-// SweepSpec document streams one NDJSON cell per line as cells
-// finish. Interrupts (SIGINT/SIGTERM) cancel cleanly between units
-// of work.
+// The -spec, -run, -scheduler, and -online branches compile their
+// flags down to the declarative Spec of internal/spec and execute
+// through the unified Run/Sweep front door — the same engine behind
+// the repro library API and the coflowd HTTP service — so the three
+// entry points cannot drift. -spec takes the Spec JSON directly: a
+// Run document prints one RunReport, a SweepSpec document streams one
+// NDJSON cell per line as cells finish. Interrupts (SIGINT/SIGTERM)
+// cancel cleanly between units of work.
 //
 // Scale flags (-coflows, -free-coflows, -slots, -trials, -seed,
 // -workers) apply to figure regeneration; defaults are laptop-sized
-// (see internal/experiments). -scheduler runs the named engine
-// scheduler (or every compatible one with "all") on the -run instance
-// if given, otherwise on a freshly generated workload. -online runs
-// the discrete-event simulator instead: coflows are revealed at their
-// release times and the -policy list is compared against a clairvoyant
-// offline run; -load sets the arrival rate (coflows per slot) of the
-// generated workload and -epoch the re-planning period.
+// (see internal/experiments). -run alone runs the Stretch pipeline
+// ("stretch") on the instance file in the -model transmission model
+// (single or free) and prints its LP bound, λ=1 heuristic, and
+// Stretch samples. -scheduler runs the named engine scheduler (or
+// every compatible one with "all") on the -run instance if given,
+// otherwise on a freshly generated workload. -online runs the
+// discrete-event simulator instead: coflows are revealed at their
+// release times and the -policy list is compared against a
+// clairvoyant offline run; -load sets the arrival rate (coflows per
+// slot) of the generated workload and -epoch the re-planning period.
 //
 // -topo selects a generated topology by spec ("fat-tree:k=4",
 // "erdos-renyi:n=10,p=0.3,seed=7", …; -topo list prints the families)
@@ -53,12 +58,11 @@
 //
 // -bench runs the benchmark-regression harness (internal/bench): the
 // simulator policy × topology grid at the -bench-tier instance sizes,
-// the BenchmarkSimulateFB ref-vs-optimized speedup, and scheduler/LP
-// micro-benchmarks. The report is written to -bench-out (default
-// BENCH_sim.json) and compared against -bench-baseline (default: the
-// previous -bench-out content); a stable metric regressing beyond
-// -bench-tol exits non-zero, while a missing baseline just records the
-// first report.
+// the BenchmarkSimulateFB cell, and scheduler/LP micro-benchmarks. The
+// report is written to -bench-out (default BENCH_sim.json) and
+// compared against -bench-baseline (default: the previous -bench-out
+// content); a stable metric regressing beyond -bench-tol exits
+// non-zero, while a missing baseline just records the first report.
 //
 // -stats attaches a telemetry registry (internal/obs) to whatever the
 // invocation runs — -spec, -run, -scheduler, or -online — and prints
@@ -86,7 +90,6 @@ import (
 	"syscall"
 	"text/tabwriter"
 
-	"repro/internal/baselines"
 	"repro/internal/coflow"
 	"repro/internal/experiments"
 	"repro/internal/sim"
@@ -129,7 +132,6 @@ func main() {
 
 		runFile   = flag.String("run", "", "schedule an instance JSON file")
 		modelFlag = flag.String("model", "free", "transmission model for -run: single|free")
-		terra     = flag.Bool("terra", false, "also run the Terra baseline (-run, free path)")
 
 		benchF        = flag.Bool("bench", false, "run the benchmark-regression harness (internal/bench)")
 		benchTier     = flag.String("bench-tier", "1k", "largest simulated instance size for -bench: 1k|10k|100k")
@@ -140,7 +142,7 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 
-		statsF = flag.Bool("stats", false, "print the run's telemetry registry as JSON to stderr at exit (-spec, -scheduler, -online)")
+		statsF = flag.Bool("stats", false, "print the run's telemetry registry as JSON to stderr at exit (-spec, -run, -scheduler, -online)")
 	)
 	flag.Parse()
 
@@ -245,7 +247,7 @@ func main() {
 			fatal(err)
 		}
 	case *runFile != "":
-		if err := runInstance(ctx, *runFile, *modelFlag, *trials, *seed, *slots, *workers, *terra, *validF); err != nil {
+		if err := runInstance(ctx, *runFile, *modelFlag, *trials, *seed, *slots, *workers, *validF, statsReg); err != nil {
 			fatal(err)
 		}
 	default:
@@ -424,16 +426,13 @@ func runBench(ctx context.Context, tier, out, baseline string, tol float64, seed
 	fmt.Fprintf(os.Stderr, "bench: wrote %s\n", dest)
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "benchmark\tns/op\tallocs/op\tevents/sec\tspeedup")
+	fmt.Fprintln(tw, "benchmark\tns/op\tallocs/op\tevents/sec")
 	for _, r := range rep.Results {
-		ev, sp := "-", "-"
+		ev := "-"
 		if r.EventsPerSec > 0 {
 			ev = fmt.Sprintf("%.0f", r.EventsPerSec)
 		}
-		if r.SpeedupVsReference > 0 {
-			sp = fmt.Sprintf("%.2fx", r.SpeedupVsReference)
-		}
-		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%s\t%s\n", r.Name, r.NsPerOp, r.AllocsPerOp, ev, sp)
+		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%s\n", r.Name, r.NsPerOp, r.AllocsPerOp, ev)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -549,10 +548,10 @@ type schedulerArgs struct {
 	obs                                        *repro.Telemetry
 }
 
-// compile translates the generation-related flags into the Spec
-// fields shared by the -scheduler and -online branches: the -run file
-// when given, otherwise a generated workload (kind defaults to fb,
-// coflow count to 8) with Poisson releases at the given mean
+// compileWorkload translates the generation-related flags into the
+// Spec fields shared by the -scheduler and -online branches: the -run
+// file when given, otherwise a generated workload (kind defaults to
+// fb, coflow count to 8) with Poisson releases at the given mean
 // interarrival, restricted to the topology's endpoints.
 func compileWorkload(runFile, kindStr, topoStr string, coflows int, seed int64, interarrival float64) (string, *repro.SpecWorkload) {
 	if runFile != "" {
@@ -698,20 +697,11 @@ func runOnline(ctx context.Context, a onlineArgs) error {
 	return res.Render(os.Stdout)
 }
 
-func loadInstance(path string) (*coflow.Instance, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return coflow.ReadJSON(f)
-}
-
-func runInstance(ctx context.Context, path, modelStr string, trials int, seed int64, slots, workers int, withTerra, validateF bool) error {
-	in, err := loadInstance(path)
-	if err != nil {
-		return err
-	}
+// runInstance runs the Stretch pipeline on the instance file at path
+// through the Spec front door, recording telemetry into reg, and
+// prints the LP bound, the λ=1 heuristic, and the Stretch samples.
+// -validate replays the heuristic schedule through the oracle.
+func runInstance(ctx context.Context, path, modelStr string, trials int, seed int64, slots, workers int, validateF bool, reg *repro.Telemetry) error {
 	mode, err := spec.ParseModel(modelStr)
 	if err != nil {
 		return err
@@ -719,18 +709,18 @@ func runInstance(ctx context.Context, path, modelStr string, trials int, seed in
 	if mode == coflow.MultiPath {
 		return fmt.Errorf("-run supports single|free (use -scheduler for multi)")
 	}
-	opt := repro.SchedOptions{MaxSlots: slots, Trials: trials, Seed: seed, Workers: workers}
-	var res *repro.Result
-	if mode == coflow.SinglePath {
-		res, err = repro.ScheduleSinglePath(in, opt)
-	} else {
-		res, err = repro.ScheduleFreePath(in, opt)
-	}
+	rep, err := repro.RunWith(ctx, repro.Spec{
+		Workload:  &repro.SpecWorkload{File: path},
+		Model:     modelStr,
+		Scheduler: "stretch",
+		Options:   repro.SpecOptions{MaxSlots: slots, Trials: trials, Seed: seed, Workers: workers},
+	}, reg)
 	if err != nil {
 		return err
 	}
+	res := rep.Engine.Core
 	fmt.Printf("model:               %v\n", mode)
-	fmt.Printf("coflows:             %d (%d flows)\n", len(in.Coflows), in.NumFlows())
+	fmt.Printf("coflows:             %d (%d flows)\n", rep.Coflows, rep.Flows)
 	fmt.Printf("LP lower bound:      %.3f\n", res.LowerBound)
 	fmt.Printf("heuristic (λ=1.0):   %.3f\n", res.Heuristic.Weighted)
 	if res.Stretch != nil {
@@ -743,13 +733,6 @@ func runInstance(ctx context.Context, path, modelStr string, trials int, seed in
 			return fmt.Errorf("heuristic schedule failed validation: %w", rep.Err())
 		}
 		fmt.Println("validate:            ok (heuristic schedule replayed)")
-	}
-	if withTerra && mode == coflow.FreePath {
-		tr, err := baselines.Terra(ctx, in)
-		if err != nil {
-			return fmt.Errorf("terra: %w", err)
-		}
-		fmt.Printf("terra (total time):  %.3f (%d LP solves)\n", tr.Total, tr.LPSolves)
 	}
 	return nil
 }

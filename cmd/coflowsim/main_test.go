@@ -169,3 +169,27 @@ func TestRunSpecFileEndToEnd(t *testing.T) {
 		t.Fatalf("unknown preset error should list presets, got %v", err)
 	}
 }
+
+// TestRunInstanceEndToEnd drives -run on a generated instance file in
+// the single and free path models with -validate and a -stats
+// registry: each run must record its simplex pivots in the registry,
+// and -model multi stays rejected.
+func TestRunInstanceEndToEnd(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "inst.json")
+	if err := generate("fb", "swan", 3, 7, true, path); err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []string{"single", "free"} {
+		reg := repro.NewTelemetry()
+		if err := runInstance(context.Background(), path, model, 2, 1, 16, 1, true, reg); err != nil {
+			t.Fatalf("-model %s: %v", model, err)
+		}
+		if n := reg.Snapshot().Counters["simplex_pivots_total"]; n <= 0 {
+			t.Fatalf("-model %s: simplex_pivots_total = %d, want > 0", model, n)
+		}
+	}
+	err := runInstance(context.Background(), path, "multi", 2, 1, 16, 1, false, nil)
+	if err == nil || !strings.Contains(err.Error(), "single|free") {
+		t.Fatalf("-model multi: want rejection, got %v", err)
+	}
+}

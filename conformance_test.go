@@ -19,6 +19,7 @@ import (
 
 	repro "repro"
 	"repro/internal/engine"
+	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/validate"
 )
@@ -64,6 +65,29 @@ func conformanceInstance(t *testing.T, spec string, coflows int, seed int64) *re
 	return in
 }
 
+// schedule runs the named engine scheduler on an inline instance in
+// the given model through the Spec front door and returns the
+// engine's result.
+func schedule(name string, in *repro.Instance, mode repro.TransmissionModel, opt repro.SpecOptions) (*repro.SchedulerResult, error) {
+	rep, err := repro.Run(context.Background(), repro.Spec{
+		Instance: in, Model: spec.ModelName(mode), Scheduler: name, Options: opt,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Engine, nil
+}
+
+// simulate runs the named sim policy on an inline instance through the
+// Spec front door and returns the simulator's result.
+func simulate(policy string, in *repro.Instance, opt repro.SpecOptions) (*repro.SimResult, error) {
+	rep, err := repro.Run(context.Background(), repro.Spec{Instance: in, Policy: policy, Options: opt})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Sim, nil
+}
+
 // TestConformanceMatrix sweeps scheduler × topology × model through
 // the engine and demands a clean oracle report for every cell.
 func TestConformanceMatrix(t *testing.T) {
@@ -84,8 +108,8 @@ func TestConformanceMatrix(t *testing.T) {
 					}
 					name, mode := name, mode
 					t.Run(fmt.Sprintf("%s/%v", name, mode), func(t *testing.T) {
-						res, err := repro.ScheduleWith(context.Background(), name, in, mode,
-							repro.SchedOptions{MaxSlots: 12, Trials: 2, Seed: seed})
+						res, err := schedule(name, in, mode,
+							repro.SpecOptions{MaxSlots: 12, Trials: 2, Seed: seed})
 						if err != nil {
 							t.Fatalf("%s on %s (%v): %v", name, spec, mode, err)
 						}
@@ -116,11 +140,10 @@ func TestConformanceOnline(t *testing.T) {
 					// top of the incremental per-event allocation check,
 					// every event cross-verifies the indexed fast-path
 					// state against a from-scratch rebuild.
-					opt := repro.SimOptions{
-						Policy: pol, Epoch: 2, MaxSlots: 12, Trials: 1, Seed: seed,
+					res, err := simulate(pol, in, repro.SpecOptions{
+						Epoch: 2, MaxSlots: 12, Trials: 1, Seed: seed,
 						CheckEvery: 1,
-					}
-					res, err := repro.Simulate(context.Background(), in, opt)
+					})
 					if err != nil {
 						t.Fatalf("%s on %s: %v", pol, spec, err)
 					}
@@ -139,13 +162,13 @@ func TestConformanceOnline(t *testing.T) {
 func TestConformanceDeterministic(t *testing.T) {
 	in := conformanceInstance(t, "ring:n=6", 3, 7)
 	run := func() (*repro.SchedulerResult, *repro.SimResult) {
-		res, err := repro.ScheduleWith(context.Background(), "stretch", in, repro.SinglePath,
-			repro.SchedOptions{MaxSlots: 12, Trials: 4, Seed: 7, Workers: 3})
+		res, err := schedule("stretch", in, repro.SinglePath,
+			repro.SpecOptions{MaxSlots: 12, Trials: 4, Seed: 7, Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sres, err := repro.Simulate(context.Background(), in, repro.SimOptions{
-			Policy: "epoch:stretch", Epoch: 2, MaxSlots: 12, Trials: 1, Seed: 7,
+		sres, err := simulate("epoch:stretch", in, repro.SpecOptions{
+			Epoch: 2, MaxSlots: 12, Trials: 1, Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -173,8 +196,8 @@ func TestConformanceDeterministic(t *testing.T) {
 // silently validating nothing.
 func TestConformanceOracleNotVacuous(t *testing.T) {
 	in := conformanceInstance(t, "big-switch:n=5", 3, 1)
-	res, err := repro.ScheduleWith(context.Background(), "sincronia-greedy", in, repro.SinglePath,
-		repro.SchedOptions{MaxSlots: 12})
+	res, err := schedule("sincronia-greedy", in, repro.SinglePath,
+		repro.SpecOptions{MaxSlots: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,13 +30,6 @@
 // policy — non-clairvoyant baselines, online Sincronia, or an epoch
 // adapter around any engine scheduler (SimPolicies lists them).
 //
-// The pre-Spec facades (ScheduleSinglePath/FreePath/MultiPath,
-// ScheduleWith, Simulate, RunBenchmarks) remain as deprecated thin
-// wrappers over Run — bit-identical on every instance the legacy
-// paths could solve (equivalence-tested), with one deliberate change:
-// a time horizon that previously failed the LP outright now retries
-// adaptively up to 4× MaxSlots instead of erroring.
-//
 // NewTopology generates datacenter-style and adversarial networks from
 // spec strings like "fat-tree:k=4" (internal/topo; Topologies lists
 // the families), and Validate/ValidateSim replay any result through
@@ -44,9 +37,13 @@
 // the scheduler × topology × model conformance matrix in the test
 // suite.
 //
-// This root package is a thin facade over the internal packages; see
-// README.md for the architecture and cmd/coflowsim for the experiment
-// driver that regenerates every figure of the paper.
+// Run is this package's one scheduling entry point; the rest
+// re-exports the internal packages' types, constructors, and oracle.
+// An instance built in memory runs the same way as a generated one:
+// Spec{Instance: inst, Model: "free", Scheduler: "stretch"} returns the
+// full pipeline outcome in RunReport.Engine.Core. See README.md for the
+// architecture and cmd/coflowsim for the experiment driver that
+// regenerates every figure of the paper.
 //
 //	rep, _ := repro.Run(ctx, repro.Spec{
 //	    Topology:  "fat-tree:k=4",

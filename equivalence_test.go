@@ -13,17 +13,18 @@ import (
 	"repro/internal/spec"
 )
 
-// This file is the equivalence guard of the Spec/Run redesign: every
-// legacy facade must produce bit-identical results to one Run call on
-// the same seeded instance, at any worker count. The references below
-// call internal/core, internal/engine, and internal/sim exactly the
-// way the pre-redesign facades did, so a drift in defaults, seeds, or
-// dispatch shows up as a float mismatch here before anywhere else.
+// This file is the equivalence guard of the Spec front door: one Run
+// call must produce bit-identical results to a direct call of the
+// internal package it dispatches to, on the same seeded instance and
+// at any worker count. The references below call internal/core,
+// internal/engine, and internal/sim directly, so a drift in defaults,
+// seeds, or dispatch shows up as a float mismatch here before
+// anywhere else.
 
-// legacyPipeline is the pre-redesign api.run: core.Run on DefaultGrid
-// with SchedOptions' historical normalization (0 → 48 slots / 20
-// trials, negative trials disable).
-func legacyPipeline(inst *Instance, mode coflow.Model, opt SchedOptions) (*Result, error) {
+// legacyPipeline is the Stretch pipeline called directly: core.Run on
+// DefaultGrid with the historical option normalization (0 → 48 slots
+// / 20 trials, negative trials disable).
+func legacyPipeline(inst *Instance, mode coflow.Model, opt SpecOptions) (*Result, error) {
 	if opt.MaxSlots == 0 {
 		opt.MaxSlots = 48
 	}
@@ -59,41 +60,31 @@ func pipelineInstance(t *testing.T, mode coflow.Model, seed int64) *Instance {
 	return in
 }
 
-// TestRunMatchesLegacyPipelineFacades: ScheduleSinglePath/FreePath/
-// MultiPath (now wrappers over Run) reproduce the direct core.Run
-// pipeline bit for bit, in all three models and at several worker
-// counts.
+// TestRunMatchesLegacyPipelineFacades: the "stretch" scheduler
+// through Run reproduces the direct core.Run pipeline bit for bit, in
+// all three models and at several worker counts.
 func TestRunMatchesLegacyPipelineFacades(t *testing.T) {
 	cases := []struct {
-		name   string
-		mode   coflow.Model
-		facade func(*Instance, SchedOptions) (*Result, error)
+		name string
+		mode coflow.Model
 	}{
-		{"single", SinglePath, ScheduleSinglePath},
-		{"free", FreePath, ScheduleFreePath},
-		{"multi", MultiPath, ScheduleMultiPath},
+		{"single", SinglePath},
+		{"free", FreePath},
+		{"multi", MultiPath},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				opt := SchedOptions{MaxSlots: 24, Trials: 3, Seed: 7, Workers: workers}
+				opt := SpecOptions{MaxSlots: 24, Trials: 3, Seed: 7, Workers: workers}
 				want, err := legacyPipeline(pipelineInstance(t, tc.mode, 11), tc.mode, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := tc.facade(pipelineInstance(t, tc.mode, 11), opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("facade drifted from the legacy pipeline:\nlegacy: %+v\nfacade: %+v", want, got)
-				}
-				// And straight through Run, without the facade.
 				rep, err := Run(context.Background(), Spec{
 					Instance:  pipelineInstance(t, tc.mode, 11),
 					Model:     tc.name,
 					Scheduler: "stretch",
-					Options:   opt.specOptions(),
+					Options:   opt,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -107,32 +98,24 @@ func TestRunMatchesLegacyPipelineFacades(t *testing.T) {
 }
 
 // TestRunMatchesLegacyScheduleWith: every registered scheduler through
-// Run equals a direct engine.Schedule call (the pre-redesign
-// ScheduleWith body) on the same instance.
+// Run equals a direct engine.Schedule call on the same instance.
 func TestRunMatchesLegacyScheduleWith(t *testing.T) {
 	for _, mode := range []coflow.Model{SinglePath, FreePath} {
 		in := pipelineInstance(t, mode, 23)
 		for _, name := range engine.NamesSupporting(mode) {
 			t.Run(fmt.Sprintf("%v/%s", mode, name), func(t *testing.T) {
-				opt := SchedOptions{MaxSlots: 20, Trials: 2, Seed: 3}
+				opt := SpecOptions{MaxSlots: 20, Trials: 2, Seed: 3}
 				want, err := engine.Schedule(context.Background(), name, in, mode, engine.Options{
 					MaxSlots: opt.MaxSlots, Trials: opt.Trials, Seed: opt.Seed,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ScheduleWith(context.Background(), name, in, mode, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("ScheduleWith drifted:\nlegacy: %+v\nwrapped: %+v", want, got)
-				}
 				rep, err := Run(context.Background(), Spec{
 					Instance:  in,
 					Model:     spec.ModelName(mode),
 					Scheduler: name,
-					Options:   opt.specOptions(),
+					Options:   opt,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -151,17 +134,10 @@ func TestRunMatchesLegacySimulate(t *testing.T) {
 	in := pipelineInstance(t, SinglePath, 31)
 	for _, policy := range sim.Names() {
 		t.Run(policy, func(t *testing.T) {
-			opt := SimOptions{Policy: policy, Epoch: 2, MaxSlots: 20, Trials: 1, Seed: 5}
+			opt := sim.Options{Policy: policy, Epoch: 2, MaxSlots: 20, Trials: 1, Seed: 5}
 			want, err := sim.Simulate(context.Background(), in, opt)
 			if err != nil {
 				t.Fatal(err)
-			}
-			got, err := Simulate(context.Background(), in, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("Simulate drifted:\nlegacy: %+v\nwrapped: %+v", want, got)
 			}
 			rep, err := Run(context.Background(), Spec{
 				Instance: in,

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,14 +47,17 @@ func main() {
 	})
 	names = append(names, "blue (s→t, demand 3)")
 
-	single, err := repro.ScheduleSinglePath(inst, repro.SchedOptions{MaxSlots: 8, Trials: 20, Seed: 1})
-	if err != nil {
-		log.Fatal(err)
+	stretch := func(model string) *repro.Result {
+		rep, err := repro.Run(context.Background(), repro.Spec{
+			Instance: inst, Model: model, Scheduler: "stretch",
+			Options: repro.SpecOptions{MaxSlots: 8, Trials: 20, Seed: 1},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rep.Engine.Core
 	}
-	free, err := repro.ScheduleFreePath(inst, repro.SchedOptions{MaxSlots: 8, Trials: 20, Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
+	single, free := stretch("single"), stretch("free")
 
 	fmt.Println("Section 2 running example (Figures 2–4)")
 	fmt.Println()

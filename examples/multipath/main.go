@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -28,26 +29,32 @@ func main() {
 		len(base.Coflows), base.NumFlows())
 	fmt.Printf("%-22s %14s %14s\n", "model", "LP bound", "heuristic λ=1")
 
-	free, err := repro.ScheduleFreePath(base, repro.SchedOptions{MaxSlots: 28, Trials: -1})
-	if err != nil {
-		log.Fatal(err)
-	}
-
+	free := heuristic(base, "free")
 	for _, k := range []int{1, 2, 4} {
 		inst := cloneViaJSON(base)
 		if err := inst.AssignKShortestPaths(k); err != nil {
 			log.Fatal(err)
 		}
-		res, err := repro.ScheduleMultiPath(inst, repro.SchedOptions{MaxSlots: 28, Trials: -1})
-		if err != nil {
-			log.Fatal(err)
-		}
+		res := heuristic(inst, "multi")
 		fmt.Printf("%-22s %14.1f %14.1f\n",
 			fmt.Sprintf("multi-path (k=%d)", k), res.LowerBound, res.Heuristic.Weighted)
 	}
 	fmt.Printf("%-22s %14.1f %14.1f\n", "free path (k=∞)", free.LowerBound, free.Heuristic.Weighted)
 	fmt.Println("\nMore candidate paths → tighter bound and better schedule;")
 	fmt.Println("free path is the limit of the sweep.")
+}
+
+// heuristic runs the LP and the λ=1 rounding (Trials: -1 skips the
+// randomized ones) in the given transmission model.
+func heuristic(inst *repro.Instance, model string) *repro.Result {
+	rep, err := repro.Run(context.Background(), repro.Spec{
+		Instance: inst, Model: model, Scheduler: "stretch",
+		Options: repro.SpecOptions{MaxSlots: 28, Trials: -1},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return rep.Engine.Core
 }
 
 // cloneViaJSON deep-copies an instance through its serialization so

@@ -27,13 +27,14 @@ func main() {
 	// coflow revealed at t=0 (service still honors releases), so it
 	// differs from the online runs only in what the planner knows.
 	ctx := context.Background()
-	offline, err := repro.Simulate(ctx, inst, repro.SimOptions{
-		Policy: "epoch:stretch", Clairvoyant: true, Trials: 5, Seed: 42,
+	offline, err := repro.Run(ctx, repro.Spec{
+		Instance: inst, Policy: "epoch:stretch",
+		Options: repro.SpecOptions{Clairvoyant: true, Trials: 5, Seed: 42},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("clairvoyant epoch:stretch: ΣwC = %.1f\n\n", offline.WeightedCCT)
+	fmt.Printf("clairvoyant epoch:stretch: ΣwC = %.1f\n\n", offline.Weighted)
 
 	// Online: coflows are revealed at their release times. The
 	// epoch:stretch policy re-plans with the same pipeline at every
@@ -41,13 +42,14 @@ func main() {
 	// arrived so far.
 	fmt.Printf("%-18s %12s %9s %9s %8s\n", "policy", "ΣwC", "avg CCT", "makespan", "replans")
 	for _, name := range []string{"fifo", "las", "fair", "sincronia-online", "epoch:stretch"} {
-		res, err := repro.Simulate(ctx, inst, repro.SimOptions{
-			Policy: name, Epoch: 2, Trials: 5, Seed: 42,
+		rep, err := repro.Run(ctx, repro.Spec{
+			Instance: inst, Policy: name,
+			Options: repro.SpecOptions{Epoch: 2, Trials: 5, Seed: 42},
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-18s %12.1f %9.2f %9.2f %8d\n",
-			res.Policy, res.WeightedCCT, res.AvgCCT, res.Makespan, res.Replans)
+			rep.Policy, rep.Weighted, rep.AvgCCT, rep.Makespan, rep.Replans)
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,10 +34,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := repro.ScheduleSinglePath(ci, repro.SchedOptions{MaxSlots: 32, Trials: 20, Seed: 7})
+	rep, err := repro.Run(context.Background(), repro.Spec{
+		Instance: ci, Model: "single", Scheduler: "stretch",
+		Options: repro.SpecOptions{MaxSlots: 32, Trials: 20, Seed: 7},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := rep.Engine.Core
 	mapped, err := in.FromCoflowSchedule(res.Heuristic.Schedule)
 	if err != nil {
 		log.Fatal(err)

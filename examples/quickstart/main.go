@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,14 +39,17 @@ func main() {
 		},
 	}}}
 
-	single, err := repro.ScheduleSinglePath(inst, repro.SchedOptions{MaxSlots: 8, Trials: -1})
-	if err != nil {
-		log.Fatal(err)
+	stretch := func(model string) *repro.Result {
+		rep, err := repro.Run(context.Background(), repro.Spec{
+			Instance: inst, Model: model, Scheduler: "stretch",
+			Options: repro.SpecOptions{MaxSlots: 8, Trials: -1},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rep.Engine.Core
 	}
-	free, err := repro.ScheduleFreePath(inst, repro.SchedOptions{MaxSlots: 8, Trials: -1})
-	if err != nil {
-		log.Fatal(err)
-	}
+	single, free := stretch("single"), stretch("free")
 
 	fmt.Println("Figure 1 of the paper — one coflow, two flows (NY→BA: 18, HK→FL: 12)")
 	fmt.Printf("single path completion: %.0f time units (paper: 3)\n",

@@ -30,29 +30,31 @@ func main() {
 		log.Fatal(err)
 	}
 
-	opt := repro.SchedOptions{
+	opt := repro.SpecOptions{
 		MaxSlots: 32,
 		Trials:   10,
 		Seed:     2019,
 		Workers:  0, // 0 = GOMAXPROCS; results are identical at any count
 	}
 
-	for _, mode := range []repro.TransmissionModel{repro.SinglePath, repro.FreePath} {
-		fmt.Printf("— %v —\n", mode)
+	for _, model := range []string{"single", "free"} {
+		fmt.Printf("— %s-path —\n", model)
 		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "scheduler\tΣwC\tΣC\tLP bound")
 		for _, name := range repro.Schedulers() {
-			res, err := repro.ScheduleWith(context.Background(), name, inst, mode, opt)
+			rep, err := repro.Run(context.Background(), repro.Spec{
+				Instance: inst, Model: model, Scheduler: name, Options: opt,
+			})
 			if err != nil {
 				// Not every algorithm supports every model (Terra is
 				// free path only, Jahanjou/Sincronia single path only).
 				continue
 			}
 			bound := "-"
-			if res.HasLowerBound {
-				bound = fmt.Sprintf("%.2f", res.LowerBound)
+			if rep.HasLowerBound {
+				bound = fmt.Sprintf("%.2f", rep.LowerBound)
 			}
-			fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%s\n", name, res.Weighted, res.Total, bound)
+			fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%s\n", name, rep.Weighted, rep.Total, bound)
 		}
 		if err := tw.Flush(); err != nil {
 			log.Fatal(err)

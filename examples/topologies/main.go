@@ -46,8 +46,10 @@ func main() {
 			log.Fatal(err)
 		}
 
-		res, err := repro.ScheduleWith(ctx, "sincronia-greedy", inst, repro.SinglePath,
-			repro.SchedOptions{MaxSlots: 24})
+		rep, err := repro.Run(ctx, repro.Spec{
+			Instance: inst, Scheduler: "sincronia-greedy",
+			Options: repro.SpecOptions{MaxSlots: 24},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,12 +57,12 @@ func main() {
 		// The oracle replays the schedule slot by slot: capacities,
 		// releases, demands, routes, and reported completions.
 		verdict := "ok"
-		if err := repro.Validate(inst, res); err != nil {
+		if err := repro.Validate(inst, rep.Engine); err != nil {
 			verdict = err.Error()
 		}
 		fmt.Printf("%-44s %6d %6d %6d %12.1f %9s\n",
 			spec, top.Graph.NumNodes(), top.Graph.NumEdges()/2, len(top.Endpoints),
-			res.Weighted, verdict)
+			rep.Weighted, verdict)
 	}
 
 	fmt.Println("\nonline trace validation on a generated fabric:")
@@ -76,15 +78,16 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, policy := range []string{"fifo", "las", "epoch:sincronia-greedy"} {
-		opt := repro.SimOptions{Policy: policy, Epoch: 2, Seed: 1}
-		res, err := repro.Simulate(ctx, inst, opt)
+		// Validate: true replays the event trace through the oracle
+		// inside Run; a violation fails the run.
+		rep, err := repro.Run(ctx, repro.Spec{
+			Instance: inst, Policy: policy, Validate: true,
+			Options: repro.SpecOptions{Epoch: 2, Seed: 1},
+		})
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := repro.ValidateSim(inst, res, opt); err != nil {
 			log.Fatalf("%s: %v", policy, err)
 		}
 		fmt.Printf("  %-24s ΣwC %8.1f  makespan %6.2f  events %3d  trace valid\n",
-			policy, res.WeightedCCT, res.Makespan, res.Events)
+			policy, rep.Weighted, rep.Makespan, rep.Events)
 	}
 }

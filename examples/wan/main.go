@@ -33,10 +33,7 @@ func main() {
 		len(inst.Coflows), inst.NumFlows(), inst.TotalDemand())
 
 	// Single path model.
-	sp, err := repro.ScheduleSinglePath(inst, repro.SchedOptions{MaxSlots: 32, Trials: 10, Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
+	sp := stretch(inst, "single", 32)
 	horizon := inst.HorizonUpperBound(coflow.SinglePath) + 1
 	jr, err := baselines.Jahanjou(context.Background(), inst, horizon, baselines.JahanjouEpsilon, 0.5)
 	if err != nil {
@@ -64,10 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fp, err := repro.ScheduleFreePath(unweighted, repro.SchedOptions{MaxSlots: 24, Trials: 10, Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
+	fp := stretch(unweighted, "free", 24)
 	tr, err := baselines.Terra(context.Background(), unweighted)
 	if err != nil {
 		log.Fatal(err)
@@ -83,4 +77,17 @@ func main() {
 	fmt.Printf("  %-28s %10.1f\n", "average λ", fp.Stretch.AvgTotal)
 	fmt.Printf("  %-28s %10.1f  (%d LP solves, continuous time)\n",
 		"Terra (SRTF)", tr.Total, tr.LPSolves)
+}
+
+// stretch runs the paper's LP+Stretch pipeline (10 λ samples) in the
+// given transmission model with a grid of at most maxSlots slots.
+func stretch(inst *repro.Instance, model string, maxSlots int) *repro.Result {
+	rep, err := repro.Run(context.Background(), repro.Spec{
+		Instance: inst, Model: model, Scheduler: "stretch",
+		Options: repro.SpecOptions{MaxSlots: maxSlots, Trials: 10, Seed: 1},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return rep.Engine.Core
 }

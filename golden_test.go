@@ -84,13 +84,14 @@ func TestConformanceGoldenTraces(t *testing.T) {
 			instances[gp.topo] = in
 		}
 		t.Run(gp.file, func(t *testing.T) {
-			res, err := repro.Simulate(context.Background(), in, repro.SimOptions{
-				Policy: gp.policy, Epoch: 2, MaxSlots: 16, Trials: 2, Seed: 7, Workers: 1,
+			rep, err := repro.Run(context.Background(), repro.Spec{
+				Instance: in, Policy: gp.policy,
+				Options: repro.SpecOptions{Epoch: 2, MaxSlots: 16, Trials: 2, Seed: 7, Workers: 1},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := formatTrace(gp.policy, gp.topo, res)
+			got := formatTrace(gp.policy, gp.topo, rep.Sim)
 			path := filepath.Join("testdata", "golden", gp.file+".trace")
 			if update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

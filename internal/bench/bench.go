@@ -11,10 +11,8 @@
 // exact ones `go test -bench` would report; the harness exists so the
 // measurement can be driven from cmd/coflowsim (no test binary
 // required), serialized, and diffed. The headline entry is
-// BenchmarkSimulateFB/n=2000: the optimized online simulator and the
-// retained un-optimized reference loop (sim.SimulateReference) run the
-// identical instance and the ratio of their events/sec is recorded as
-// the speedup the internal/sim overhaul bought.
+// BenchmarkSimulateFB/n=2000, the online simulator's events/sec on the
+// instance the root package's BenchmarkSimulateFB runs.
 //
 // Comparisons only fail on the stable metrics: events/sec on a fixed
 // instance and allocs/op are reproducible on one machine, while raw
@@ -115,10 +113,6 @@ type Result struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	// EventsPerSec is the simulator throughput (0 for non-sim benches).
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
-	// SpeedupVsReference is set on the headline entry only: optimized
-	// events/sec over the un-optimized reference loop's on the same
-	// instance.
-	SpeedupVsReference float64 `json:"speedup_vs_reference,omitempty"`
 }
 
 // Report is the serialized outcome of one harness run (BENCH_sim.json).
@@ -239,7 +233,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s: %w", name, err)
 			}
-			res, err := runSim(cfg, name, in, sim.Options{Policy: sc.policy}, sim.Simulate)
+			res, err := runSim(cfg, name, in, sim.Options{Policy: sc.policy})
 			if err != nil {
 				return nil, err
 			}
@@ -269,16 +263,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", name, err)
 		}
-		res, err := runSim(cfg, name, in, hc.options(cfg.Seed), sim.Simulate)
+		res, err := runSim(cfg, name, in, hc.options(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
 		rep.Results = append(rep.Results, res)
 	}
 
-	// Headline: the historical BenchmarkSimulateFB cell at n=2000,
-	// optimized vs the retained reference loop, with the speedup the
-	// indexed event queue + sparse allocations bought.
+	// Headline: the historical BenchmarkSimulateFB cell at n=2000.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -286,21 +278,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: BenchmarkSimulateFB instance: %w", err)
 	}
-	fbName := fmt.Sprintf("BenchmarkSimulateFB/n=%d", cfg.FBSize)
-	opt, err := runSim(cfg, fbName, fbIn,
-		sim.Options{Policy: sim.NameSincroniaOnline}, sim.Simulate)
+	fb, err := runSim(cfg, fmt.Sprintf("BenchmarkSimulateFB/n=%d", cfg.FBSize), fbIn,
+		sim.Options{Policy: sim.NameSincroniaOnline})
 	if err != nil {
 		return nil, err
 	}
-	ref, err := runSim(cfg, fbName+"/reference", fbIn,
-		sim.Options{Policy: sim.NameSincroniaOnline}, sim.SimulateReference)
-	if err != nil {
-		return nil, err
-	}
-	if ref.EventsPerSec > 0 {
-		opt.SpeedupVsReference = opt.EventsPerSec / ref.EventsPerSec
-	}
-	rep.Results = append(rep.Results, opt, ref)
+	rep.Results = append(rep.Results, fb)
 
 	// Scheduler and LP micro-benchmarks (fixed small instances: these
 	// track per-call cost of the offline pipeline, not scale).
@@ -334,17 +317,16 @@ func benchInstance(spec string, n int, inter float64, seed int64) (*coflow.Insta
 	})
 }
 
-// runSim benchmarks one simulate function on one instance, reporting
+// runSim benchmarks the simulator on one instance, reporting
 // events/sec alongside the standard per-op numbers.
-func runSim(cfg Config, name string, in *coflow.Instance,
-	opt sim.Options, f func(context.Context, *coflow.Instance, sim.Options) (*sim.Result, error)) (Result, error) {
+func runSim(cfg Config, name string, in *coflow.Instance, opt sim.Options) (Result, error) {
 	var simErr error
 	events := 0
 	br := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		events = 0
 		for i := 0; i < b.N; i++ {
-			res, err := f(context.Background(), in, opt)
+			res, err := sim.Simulate(context.Background(), in, opt)
 			if err != nil {
 				simErr = err
 				b.FailNow()

@@ -28,14 +28,14 @@ func TestRunProducesCompleteReport(t *testing.T) {
 	// The four ladder sim cells at n=40, the epoch:stretch and
 	// fifo-telemetry hot-path cells (the las/fair hot-path cells
 	// collapse into the ladder's at the overridden size), the headline
-	// pair, and the five scheduler/LP benches (including the
+	// cell, and the five scheduler/LP benches (including the
 	// degenerate-LP robustness cell).
-	if len(rep.Results) != 13 {
+	if len(rep.Results) != 12 {
 		names := make([]string, len(rep.Results))
 		for i, r := range rep.Results {
 			names[i] = r.Name
 		}
-		t.Fatalf("want 13 results, got %d: %v", len(rep.Results), names)
+		t.Fatalf("want 12 results, got %d: %v", len(rep.Results), names)
 	}
 	for _, r := range rep.Results {
 		if r.NsPerOp <= 0 || r.Iterations <= 0 {
@@ -46,8 +46,8 @@ func TestRunProducesCompleteReport(t *testing.T) {
 		}
 	}
 	head := rep.Find("BenchmarkSimulateFB/n=64")
-	if head == nil || head.SpeedupVsReference <= 0 {
-		t.Fatalf("headline entry missing speedup: %+v", head)
+	if head == nil || head.EventsPerSec <= 0 {
+		t.Fatalf("headline entry missing events/sec: %+v", head)
 	}
 	if rep.PeakRSSBytes <= 0 {
 		t.Logf("peak RSS unavailable on this platform (got %d)", rep.PeakRSSBytes)
@@ -65,9 +65,8 @@ func TestRunProducesCompleteReport(t *testing.T) {
 	if len(back.Results) != len(rep.Results) || back.Tier != rep.Tier {
 		t.Fatalf("round-trip lost data: %+v", back)
 	}
-	if got := back.Find("BenchmarkSimulateFB/n=64"); got == nil ||
-		got.SpeedupVsReference != head.SpeedupVsReference {
-		t.Fatalf("round-trip lost the speedup entry: %+v", got)
+	if got := back.Find("BenchmarkSimulateFB/n=64"); got == nil || *got != *head {
+		t.Fatalf("round-trip lost the headline entry: %+v", got)
 	}
 }
 

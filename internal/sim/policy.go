@@ -346,7 +346,7 @@ func (p *lasPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
 // + flows frozen this round), and each flow is frozen exactly once per
 // event.
 //
-// Float contract: the unregistered fairReference subtracts δ once per
+// Float contract: the test-only fairReference subtracts δ once per
 // flow through an edge, so residuals, and the deltas and rates derived
 // from them, may differ from it in the last bits. The differential
 // tests hold fairPolicy to the reference's event sequence exactly and

@@ -8,14 +8,14 @@ import (
 )
 
 // This file keeps the original, un-optimized LAS and fair policies
-// verbatim as executable specifications, mirroring the PR 4 split of
-// the event loop into Simulate and simulateReference: the registered
-// "las" and "fair" policies (policy.go) maintain their state
-// incrementally across events, and the differential property tests
-// (policy_differential_test.go) hold them to these from-scratch
+// verbatim as executable specifications, mirroring the split of the
+// event loop into Simulate and simulateReference (reference_test.go):
+// the registered "las" and "fair" policies (policy.go) maintain their
+// state incrementally across events, and the differential property
+// tests (policy_differential_test.go) hold them to these from-scratch
 // implementations on every topology family: las bit-identical, fair to
-// the same event sequence with times within 1e-9 relative. Neither
-// reference is registered; production runs always get the fast path.
+// the same event sequence with times within 1e-9 relative. Both live
+// in test files, so the shipped package carries only the fast path.
 
 // lasReference re-sorts the full active set by attained service at
 // every event — the original lasPolicy. O(active·log active) per event

@@ -14,10 +14,8 @@ import (
 // event rescans all coflows for reveals and next releases, the sparse
 // policy allocation is densified into a full coflows × flows matrix,
 // and the dense matrix is verified in full per event. It is
-// O(n²·flows) and exists only for the differential property tests
-// (which hold Simulate bit-identical to it across every policy) and
-// for the benchmark harness's speedup record. Production callers use
-// Simulate.
+// O(n²·flows) and is the oracle of the differential property tests,
+// which hold Simulate bit-identical to it across every policy.
 func simulateReference(ctx context.Context, inst *coflow.Instance, opt Options) (*Result, error) {
 	opt = opt.Normalize()
 	if err := inst.Validate(coflow.SinglePath); err != nil {
@@ -232,14 +230,6 @@ func simulateReference(ctx context.Context, inst *coflow.Instance, opt Options) 
 	}
 	res.AvgCCT /= float64(nc)
 	return res, nil
-}
-
-// SimulateReference exposes the reference loop to the benchmark
-// harness (internal/bench), which records the ref-vs-optimized
-// events/sec speedup in BENCH_sim.json. Everything else goes through
-// Simulate.
-func SimulateReference(ctx context.Context, inst *coflow.Instance, opt Options) (*Result, error) {
-	return simulateReference(ctx, inst, opt)
 }
 
 // checkRatesDense verifies a densified allocation the way the original

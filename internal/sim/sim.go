@@ -29,9 +29,9 @@
 // policies return sparse per-active-coflow rate entries over reusable
 // buffers (see alloc.go) instead of dense coflows × flows matrices,
 // and the per-event allocation check is incremental over the touched
-// entries and edges. The un-optimized O(n²·flows) loop survives as
-// simulateReference (reference.go), the executable spec the
-// differential tests hold Simulate bit-identical to; the full
+// entries and edges. The un-optimized O(n²·flows) loop survives in the
+// tests as simulateReference (reference_test.go), the executable spec
+// the differential tests hold Simulate bit-identical to; the full
 // from-scratch verification is available behind Options.CheckEvery and
 // is what conformance runs use.
 //
@@ -238,9 +238,9 @@ type State struct {
 	effRel [][]float64
 }
 
-// newState builds the per-run policy-visible state; shared by the
-// optimized and the reference event loops so both present policies
-// with identical inputs.
+// newState builds the per-run policy-visible state; shared by Simulate
+// and the test-only reference loop (reference_test.go) so both present
+// policies with identical inputs.
 func newState(inst *coflow.Instance) *State {
 	nc := len(inst.Coflows)
 	st := &State{

@@ -12,10 +12,8 @@
 // CLI (coflowsim -spec), and the HTTP service (coflowd POST /v1/run)
 // to the same RunReport. Everything downstream of a Spec is
 // deterministic in the Spec, so reports are cacheable by their spec.
-//
-// The legacy facades (ScheduleSinglePath/FreePath/MultiPath,
-// ScheduleWith, Simulate in the root package) are thin wrappers over
-// Run; new code should build a Spec.
+// Run is the repository's one scheduling entry point: the root
+// package, the CLI, and the service all build a Spec.
 package spec
 
 import (
@@ -48,8 +46,8 @@ type Spec struct {
 	Workload *Workload `json:"workload,omitempty"`
 	// Instance is a fully inline problem instance (graph included),
 	// mutually exclusive with Workload and Topology. It is what lets
-	// the in-memory facades compile down to a Spec without touching
-	// disk.
+	// library callers run an instance they built in memory without
+	// touching disk.
 	Instance *coflow.Instance `json:"instance,omitempty"`
 	// Model is the transmission model: "single" (default), "free", or
 	// "multi". Online runs require "single" — the model every ordering
@@ -96,9 +94,12 @@ type Workload struct {
 	File string `json:"file,omitempty"`
 }
 
-// Options are the algorithm knobs, the union of the legacy
-// SchedOptions and SimOptions. Offline runs ignore the sim-only
-// fields and vice versa.
+// Options are the algorithm knobs of a run: the offline engine's
+// (MaxSlots, Trials, Seed, Workers, DisableCompaction), the online
+// simulator's (Epoch, Clairvoyant, CheckEvery, MaxEvents, WarmLP;
+// rejected on offline runs), instance generation's PathsK, and the
+// Telemetry switch. Offline runs ignore the sim-only fields and vice
+// versa.
 type Options struct {
 	// MaxSlots caps the uniform time grid (0 = 48).
 	MaxSlots int `json:"max_slots,omitempty"`
@@ -137,8 +138,7 @@ type Options struct {
 	Telemetry bool `json:"telemetry,omitempty"`
 }
 
-// Defaults, shared with the legacy CLI paths so flags and Specs
-// compile to identical runs.
+// Defaults Normalized fills in for unset fields.
 const (
 	DefaultTopology         = "swan"
 	DefaultKind             = "fb"
@@ -356,8 +356,8 @@ func (s Spec) Materialize() (*coflow.Instance, error) {
 // instance materializes the spec's problem instance: inline, from
 // file, or generated on the resolved topology. Generated single path
 // instances carry random shortest paths, multi path ones a k-shortest
-// candidate set; free path instances stay unrouted, matching the
-// legacy facades. The spec must be normalized.
+// candidate set; free path instances stay unrouted. The spec must be
+// normalized.
 func (s *Spec) instance() (*coflow.Instance, error) {
 	if s.Instance != nil {
 		return s.Instance, nil

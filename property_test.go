@@ -14,7 +14,6 @@ package repro_test
 // locally when hunting for counterexamples.
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -100,8 +99,8 @@ func TestPropertySchedulers(t *testing.T) {
 				if !s.Supports(mode) {
 					continue
 				}
-				res, err := repro.ScheduleWith(context.Background(), name, in, mode,
-					repro.SchedOptions{MaxSlots: 12, Trials: 1, Seed: seed})
+				res, err := schedule(name, in, mode,
+					repro.SpecOptions{MaxSlots: 12, Trials: 1, Seed: seed})
 				if err != nil {
 					t.Fatalf("iter %d (%s): %s (%v): %v", iter, spec, name, mode, err)
 				}

@@ -52,15 +52,16 @@ func TestSimulateStress(t *testing.T) {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
 			t.Parallel()
-			opt := repro.SimOptions{Policy: policy, CheckEvery: 64}
-			res, err := repro.Simulate(context.Background(), in, opt)
+			rep, err := repro.Run(context.Background(), repro.Spec{
+				Instance: in, Policy: policy, Options: repro.SpecOptions{CheckEvery: 64},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Events < 2*len(in.Coflows) {
-				t.Fatalf("only %d events for %d coflows", res.Events, len(in.Coflows))
+			if rep.Events < 2*len(in.Coflows) {
+				t.Fatalf("only %d events for %d coflows", rep.Events, len(in.Coflows))
 			}
-			if err := repro.ValidateSim(in, res, opt); err != nil {
+			if err := repro.ValidateSim(in, rep.Sim, repro.SimOptions{}); err != nil {
 				t.Fatalf("oracle rejected the stress trace: %v", err)
 			}
 		})
@@ -80,12 +81,13 @@ func TestSimulate100kBigSwitch(t *testing.T) {
 	}
 	in := scaleInstance(t, "big-switch:n=64", 100000, 0.25)
 	start := time.Now()
-	res, err := repro.Simulate(context.Background(), in, repro.SimOptions{
-		Policy: "fifo", MaxEvents: 1 << 22,
+	rep, err := repro.Run(context.Background(), repro.Spec{
+		Instance: in, Policy: "fifo", Options: repro.SpecOptions{MaxEvents: 1 << 22},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rep.Sim
 	elapsed := time.Since(start)
 	t.Logf("100k-coflow FIFO on big-switch: %d events in %v (%.0f events/sec)",
 		res.Events, elapsed, float64(res.Events)/elapsed.Seconds())

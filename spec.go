@@ -23,8 +23,10 @@ type (
 	// SpecWorkload parameterizes Spec instance generation (or names an
 	// instance file).
 	SpecWorkload = spec.Workload
-	// SpecOptions are the algorithm knobs of a Spec — the union of the
-	// legacy SchedOptions and SimOptions.
+	// SpecOptions are the algorithm knobs of a Spec: offline grid,
+	// trials, seed, and workers; the online-only epoch, clairvoyance,
+	// checking, event cap, and warm LP; multi path candidate count; and
+	// telemetry. See internal/spec for field docs.
 	SpecOptions = spec.Options
 	// SweepSpec crosses a base Spec with axis lists (schedulers ×
 	// policies × models × topologies × workloads × loads × seeds).
