@@ -238,3 +238,23 @@ func TestValidateFacade(t *testing.T) {
 		t.Fatal("tampered sim result accepted")
 	}
 }
+
+// TestJahanjouLateReleaseGrowsHorizon pins a Figure T1 cell whose
+// geometric grid starts its last slot (at 32.2) before the last
+// release (37): the model build rejects the grid, and JahanjouAdaptive
+// must treat that as a horizon too short and grow it.
+func TestJahanjouLateReleaseGrowsHorizon(t *testing.T) {
+	s, _, err := ParseSpec([]byte(`{"topology":"big-switch:n=6","model":"single",
+		"workload":{"kind":"fb","coflows":24,"seed":1547054162668742233,"mean_interarrival":1.5},
+		"scheduler":"jahanjou","options":{"max_slots":36},"validate":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(context.Background(), *s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Validated {
+		t.Fatal("run finished without validation")
+	}
+}

@@ -42,8 +42,9 @@ const JahanjouEpsilon = 0.5436
 
 // JahanjouAdaptive runs Jahanjou, growing the horizon geometrically
 // (2×, 4×, 8×) while the failure is genuinely cured by a longer grid:
-// an infeasible or over-budget interval LP, or a priority fill that
-// ran out of slots (seen on high-diameter generated topologies where
+// an infeasible or over-budget interval LP, a flow released after the
+// geometric grid's last slot starts, or a priority fill that ran out
+// of slots (seen on high-diameter generated topologies where
 // the LP-sized horizon underestimates path contention). Other errors
 // surface immediately. This is the single retry policy shared by the
 // engine wrapper and the figure harnesses.
@@ -61,7 +62,8 @@ func retryableHorizon(err error) bool {
 	if errors.As(err, &se) && (se.Status == simplex.Infeasible || se.Status == simplex.IterLimit) {
 		return true
 	}
-	return errors.Is(err, ErrHorizonTooSmall)
+	var re *model.ReleaseError
+	return errors.As(err, &re) || errors.Is(err, ErrHorizonTooSmall)
 }
 
 // JahanjouResult reports the baseline's outcome.

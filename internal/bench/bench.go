@@ -179,9 +179,10 @@ var simSuite = []simCase{
 // hotPathSuite pins cells at fixed instance sizes regardless of the
 // selected tier, so every harness run (including the 1k CI gate)
 // tracks them: the 10k las/fair floors the incremental allocators
-// bought, the epoch:stretch cell — one LP re-plan per arrival,
-// with the basis carried between re-plans — that the interval-LP
-// speedup made runnable at 1k coflows, and a telemetry variant of the
+// bought, the epoch:stretch cell — one LP re-plan per arrival, with
+// WarmLP on although the solver rejects almost every carried basis, so
+// nearly every re-plan solves cold — that the interval-LP speedup made
+// runnable at 1k coflows, and a telemetry variant of the
 // fifo cell that bounds what an enabled obs registry costs the event
 // loop (the >25% events/sec gate is the overhead budget). A cell
 // whose name the tier ladder already produced is skipped rather than
@@ -420,8 +421,9 @@ func schedulerResults(ctx context.Context, cfg Config) ([]Result, error) {
 		}},
 		// Numerical-robustness cell: a rank-deficient, tie-riddled LP
 		// (every assignment constraint stated twice) that cannot be
-		// solved with an all-structural basis, so it exercises the
-		// anti-degeneracy and singular-basis handling on every run.
+		// solved with an all-structural basis. It times the plain
+		// two-phase path on a redundant system: over seeds 0–199 its
+		// solve never perturbs costs or meets a singular basis.
 		{"lp/degenerate-robust/m=24", func(b *testing.B) {
 			p := degenerateBenchLP(cfg.Seed)
 			b.ReportAllocs()

@@ -36,8 +36,6 @@ import (
 type Options struct {
 	// Grid is the time expansion. Required.
 	Grid timegrid.Grid
-	// Simplex tunes the LP solver; the zero value uses defaults.
-	Simplex simplex.Options
 	// DisableCompaction turns off the idle-slot optimization of
 	// Section 6.1 (used by the ablation benchmarks).
 	DisableCompaction bool
@@ -105,11 +103,7 @@ func SolveLP(ctx context.Context, inst *coflow.Instance, mode coflow.Model, opt 
 	if err != nil {
 		return nil, err
 	}
-	sopt := opt.Simplex
-	if sopt.Obs == nil {
-		sopt.Obs = opt.Obs
-	}
-	return l.SolveWarm(ctx, sopt, opt.WarmBasis)
+	return l.SolveWarm(ctx, simplex.Options{Obs: opt.Obs}, opt.WarmBasis)
 }
 
 // Heuristic converts the LP solution directly into a schedule — the
@@ -243,11 +237,13 @@ func Run(ctx context.Context, inst *coflow.Instance, mode coflow.Model, opt Opti
 }
 
 // RetryableLP reports whether err is an LP failure cured by a longer
-// time grid: infeasible (horizon too short for the demands) or over
-// its iteration budget.
+// time grid: infeasible (horizon too short for the demands), over its
+// iteration budget, or a flow released after the grid's last slot
+// starts.
 func RetryableLP(err error) bool {
 	var se *model.StatusError
-	return errors.As(err, &se) &&
+	var re *model.ReleaseError
+	return errors.As(err, &re) || errors.As(err, &se) &&
 		(se.Status == simplex.Infeasible || se.Status == simplex.IterLimit)
 }
 

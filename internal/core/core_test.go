@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/coflow"
 	"repro/internal/graph"
-	"repro/internal/simplex"
 	"repro/internal/timegrid"
 )
 
@@ -216,7 +215,7 @@ func TestTheorem44EmpiricalTwoApprox(t *testing.T) {
 	// Average of many Stretch samples stays ≤ 2×LP (Theorem 4.4), on
 	// an instance with nontrivial congestion.
 	in := figure2Instance(true)
-	opt := Options{Grid: timegrid.Uniform(8), Simplex: simplex.Options{}, Seed: 5}
+	opt := Options{Grid: timegrid.Uniform(8), Seed: 5}
 	sol, err := SolveLP(context.Background(), in, coflow.SinglePath, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -15,15 +15,14 @@ import (
 // numerical robustness" failure. The clairvoyant stretch reference on
 // leaf-spine at 30 coflows (MaxSlots 48) used to burn 62k+ simplex
 // pivots and then die deterministically with `basis refactorization
-// failed: lu: matrix is singular`. With threshold pivoting in the LU,
-// Harris ratio tests plus stall perturbation in the simplex,
-// refactor-and-repair on singular bases, the horizon lower-bound
-// preskip, and the greedy warm-start basis, the same instance now
-// solves to optimality in one logical solve at under a third of the
-// old pivot count. This test runs by default so a regression in any
-// of those layers — a singular error resurfacing, or pivot counts
-// creeping back toward the old pathology — fails CI instead of hiding
-// behind an env var.
+// failed: lu: matrix is singular`. With Harris ratio tests plus stall
+// perturbation in the simplex, the horizon lower-bound preskip, and
+// the greedy warm-start basis, the same instance now solves to
+// optimality in one solve at under a third of the old pivot count,
+// with no singular-basis recovery. This test runs by default so a
+// regression in any of those layers — a singular error resurfacing,
+// or pivot counts creeping back toward the old pathology — fails CI
+// instead of hiding behind an env var.
 //
 // The solve is deterministic, so the pivot ceiling is not flaky: the
 // measured count is 19405, and the ceiling of 20000 is the acceptance
@@ -57,12 +56,11 @@ func TestLargeLPRobustness(t *testing.T) {
 	elapsed := time.Since(start)
 	snap := reg.Snapshot()
 	pivots := snap.Counters["simplex_pivots_total"]
-	t.Logf("large-LP regression: pivots=%d refactorizations=%d repairs=%d solves=%d retries=%d elapsed=%s",
+	t.Logf("large-LP regression: pivots=%d refactorizations=%d perturbations=%d solves=%d elapsed=%s",
 		pivots,
 		snap.Counters["simplex_refactorizations_total"],
-		snap.Counters["simplex_repairs_total"],
+		snap.Counters["simplex_perturbations_total"],
 		snap.Counters["simplex_solves_total"],
-		snap.Counters[`simplex_solve_retries_total{reason="singular"}`],
 		elapsed)
 	if err != nil {
 		t.Fatalf("the large LP must solve cleanly now (was the known-singular baseline): %v", err)

@@ -516,10 +516,9 @@ func singlePath(ctx context.Context, c Config, topo, figure string) (*FigureResu
 		for h := horizon; ; h *= 2 {
 			gridInt = timegrid.Geometric(h, 0.2)
 			lInt, err := model.BuildSinglePath(in, gridInt)
-			if err != nil {
-				return Row{}, err
+			if err == nil {
+				solInt, err = lInt.Solve(ctx, simplex.Options{})
 			}
-			solInt, err = lInt.Solve(ctx, simplex.Options{})
 			if err != nil {
 				if core.RetryableLP(err) && h < 8*horizon {
 					continue

@@ -30,9 +30,6 @@ func TestSparseSolvesMatchDenseExactly(t *testing.T) {
 		n := 64 + rng.Intn(537)
 		a := randomNonsingular(rng, n, n+rng.Intn(2*n))
 		f := New(n)
-		if trial%3 == 2 {
-			f.SetRelPivotTol(0.1)
-		}
 		if err := f.Factor(a); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

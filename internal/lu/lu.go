@@ -10,16 +10,9 @@
 // unit lower triangular and U is upper triangular. Solves with B and
 // Bᵀ are provided against dense right-hand sides.
 //
-// Pivoting is strict partial pivoting by default (each column pivots
-// on its largest-magnitude candidate). SetRelPivotTol relaxes that to
-// threshold pivoting: any candidate within a factor τ of the column
-// leader is admissible and the sparsest admissible row wins, trading a
-// bounded amount of stability (per-step element growth ≤ 1/τ, further
-// capped by SetGrowthLimit) for less fill. Growth reports the largest
-// per-step growth actually incurred. FactorDeficient is the repair
-// entry point: instead of failing on a pivotless column it records the
-// dependent columns and unpivoted rows so a caller (the simplex basis
-// repair) can swap the offenders out and refactorize.
+// Pivoting is strict partial pivoting: each column pivots on its
+// largest-magnitude candidate, and a column whose best candidate is at
+// most pivotTol in magnitude makes Factor fail with ErrSingular.
 package lu
 
 import (
@@ -27,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"repro/internal/sparse"
 )
@@ -36,9 +28,9 @@ import (
 // some column, i.e. the matrix is singular or numerically so.
 var ErrSingular = errors.New("lu: matrix is singular")
 
-// DefaultPivotTol is the absolute magnitude below which a candidate
+// pivotTol is the absolute magnitude at or below which a candidate
 // pivot is considered zero.
-const DefaultPivotTol = 1e-10
+const pivotTol = 1e-10
 
 // Factorization holds the L and U factors and the permutations.
 // A Factorization can be reused: calling Factor again reuses the
@@ -91,15 +83,10 @@ type Factorization struct {
 	// O(n/64 + reach).
 	posBits []uint64
 
-	pivotTol    float64
-	relPivotTol float64 // threshold-pivoting τ ∈ (0,1]; 1 = strict partial
-	growthLimit float64 // per-step growth cap for τ < 1 picks; 0 = 1/τ only
-	growth      float64 // largest per-step growth of the last factorization
-	rowCnt      []int   // static row nonzero counts (τ < 1 only)
-	ordCols     []int   // static elimination order (column ids)
+	ordCols []int // static elimination order (column ids)
 	// complete reports whether the stored factors describe a full-rank
 	// factorization usable by the solves: true after a successful
-	// Factor, false after an error or a deficient FactorDeficient.
+	// Factor, false after an error.
 	complete bool
 	// factors counts Factor calls over this object's lifetime
 	// (successful or not) — the simplex layer exports it as a telemetry
@@ -107,64 +94,12 @@ type Factorization struct {
 	factors int
 }
 
-// New returns a Factorization sized for n×n matrices with the default
-// pivot tolerance and strict partial pivoting.
+// New returns a Factorization sized for n×n matrices.
 func New(n int) *Factorization {
-	f := &Factorization{pivotTol: DefaultPivotTol, relPivotTol: 1}
+	f := &Factorization{}
 	f.resize(n)
 	return f
 }
-
-// SetPivotTol overrides the singularity threshold. The tolerance is
-// read once at the start of each Factor/FactorDeficient call, so a new
-// value takes effect at the next factorization and never retroactively
-// changes an already-computed one (or the solves performed with it).
-// Panics on a negative or NaN tolerance.
-func (f *Factorization) SetPivotTol(tol float64) {
-	if math.IsNaN(tol) || tol < 0 {
-		panic(fmt.Sprintf("lu: invalid pivot tolerance %v", tol))
-	}
-	f.pivotTol = tol
-}
-
-// PivotTol reports the singularity threshold the next factorization
-// will use.
-func (f *Factorization) PivotTol() float64 { return f.pivotTol }
-
-// SetRelPivotTol sets the threshold-pivoting parameter τ ∈ (0, 1]:
-// a column may pivot on any candidate row whose magnitude is at least
-// τ times the column's largest, and among admissible rows the one with
-// the fewest nonzeros in the original matrix (a Markowitz-style fill
-// proxy) is chosen. τ = 1 (the default) is strict partial pivoting —
-// the largest-magnitude candidate always wins, reproducing the
-// historical pivot choice exactly. Smaller τ trades stability for
-// sparsity; per-step element growth is bounded by 1/τ. Like
-// SetPivotTol, the value is read at the start of the next
-// factorization. Panics unless 0 < τ ≤ 1.
-func (f *Factorization) SetRelPivotTol(tau float64) {
-	if !(tau > 0 && tau <= 1) {
-		panic(fmt.Sprintf("lu: relative pivot tolerance %v outside (0,1]", tau))
-	}
-	f.relPivotTol = tau
-}
-
-// SetGrowthLimit caps the per-step element growth a τ < 1 sparsity
-// pick may incur: when the sparsest admissible candidate would grow
-// elements by more than g (columnMax/|pivot| > g), the column falls
-// back to its largest-magnitude candidate. 0 (the default) disables
-// the extra cap, leaving the 1/τ bound from SetRelPivotTol. The limit
-// has no effect under strict partial pivoting (τ = 1, growth 1).
-func (f *Factorization) SetGrowthLimit(g float64) {
-	if math.IsNaN(g) || g < 0 {
-		panic(fmt.Sprintf("lu: invalid growth limit %v", g))
-	}
-	f.growthLimit = g
-}
-
-// Growth reports the largest per-step element growth
-// (columnMax/|pivot|) incurred by the last factorization: exactly 1
-// under strict partial pivoting, up to 1/τ under threshold pivoting.
-func (f *Factorization) Growth() float64 { return f.growth }
 
 // N reports the dimension of the factorized matrix.
 func (f *Factorization) N() int { return f.n }
@@ -220,35 +155,17 @@ func growF(s []float64, n int) []float64 {
 // It returns an error wrapping ErrSingular when a column admits no
 // pivot above the tolerance; the error reports the elimination step,
 // the offending column, and the best rejected candidate's magnitude.
+// After an error the stored factors are incomplete and the solves
+// panic until a later Factor succeeds.
 func (f *Factorization) Factor(m *sparse.Matrix) error {
-	_, _, err := f.factor(m, false)
-	return err
-}
-
-// FactorDeficient factors m like Factor but, instead of failing on a
-// column with no pivot above the tolerance, skips the column, records
-// it, and keeps eliminating the rest. It returns the dependent
-// (unpivotable) original column ids and the original rows left without
-// a pivot, both ascending; the two lists always have equal length.
-// Empty lists mean the factorization completed and is usable exactly
-// as after a successful Factor. Otherwise the stored factors are
-// partial — the solves will panic — and the caller is expected to
-// replace the dependent columns (e.g. the simplex basis repair swaps
-// them for unit columns on the unpivoted rows) and factorize again.
-func (f *Factorization) FactorDeficient(m *sparse.Matrix) (cols, rows []int, err error) {
-	return f.factor(m, true)
-}
-
-func (f *Factorization) factor(m *sparse.Matrix, collect bool) (defCols, defRows []int, err error) {
 	if m.Rows != m.Cols {
-		return nil, nil, fmt.Errorf("lu: matrix is %dx%d, want square", m.Rows, m.Cols)
+		return fmt.Errorf("lu: matrix is %dx%d, want square", m.Rows, m.Cols)
 	}
 	n := m.Rows
 	f.factors++
 	f.resize(n)
 	f.transOK = false
 	f.complete = false
-	f.growth = 1
 	f.lRowIdx = f.lRowIdx[:0]
 	f.lVal = f.lVal[:0]
 	f.uRowIdx = f.uRowIdx[:0]
@@ -289,21 +206,6 @@ func (f *Factorization) factor(m *sparse.Matrix, collect bool) (defCols, defRows
 		cnt[c]++
 	}
 
-	// Static row nonzero counts, the fill proxy threshold pivoting
-	// ranks admissible candidates by. Strict partial pivoting (τ = 1)
-	// never consults them.
-	tau := f.relPivotTol
-	if tau < 1 {
-		f.rowCnt = grow(f.rowCnt, n)
-		for i := range f.rowCnt {
-			f.rowCnt[i] = 0
-		}
-		for _, i := range m.RowIdx {
-			f.rowCnt[i]++
-		}
-	}
-
-	step := 0 // pivots assigned so far; == column index unless deficient
 	for j := 0; j < n; j++ {
 		c := ord[j]
 		bIdx, bVal := m.Col(c)
@@ -351,47 +253,17 @@ func (f *Factorization) factor(m *sparse.Matrix, collect bool) (defCols, defRows
 				piv = i
 			}
 		}
-		if piv < 0 || pivAbs <= f.pivotTol {
+		if piv < 0 || pivAbs <= pivotTol {
 			f.clearColumn(top)
-			if collect {
-				defCols = append(defCols, c)
-				continue
-			}
-			return nil, nil, fmt.Errorf("lu: step %d (column %d, best candidate %.3g vs tolerance %.3g): %w",
-				j, c, pivAbs, f.pivotTol, ErrSingular)
-		}
-		colMax := pivAbs
-		if tau < 1 {
-			// Threshold pivoting: any candidate within τ of the column
-			// leader is admissible; take the one on the sparsest row
-			// (static Markowitz proxy), first-in-reach-order on ties,
-			// unless the growth cap says it is too small after all.
-			thresh := tau * colMax
-			best, bestCnt := piv, f.rowCnt[piv]
-			for p := top; p < n; p++ {
-				i := f.xi[p]
-				if f.pinv[i] >= 0 || i == piv {
-					continue
-				}
-				if a := math.Abs(f.x[i]); a >= thresh && f.rowCnt[i] < bestCnt {
-					best, bestCnt = i, f.rowCnt[i]
-				}
-			}
-			if f.growthLimit > 0 && colMax > f.growthLimit*math.Abs(f.x[best]) {
-				best = piv
-			}
-			piv = best
-			pivAbs = math.Abs(f.x[piv])
-		}
-		if g := colMax / pivAbs; g > f.growth {
-			f.growth = g
+			return fmt.Errorf("lu: step %d (column %d, best candidate %.3g vs tolerance %.3g): %w",
+				j, c, pivAbs, pivotTol, ErrSingular)
 		}
 		pivVal := f.x[piv]
-		f.pinv[piv] = step
-		f.p[step] = piv
-		f.q[step] = c
-		f.qinv[c] = step
-		f.uDiag[step] = pivVal
+		f.pinv[piv] = j
+		f.p[j] = piv
+		f.q[j] = c
+		f.qinv[c] = j
+		f.uDiag[j] = pivVal
 
 		// Split the work vector into U (pivotal rows) and L
 		// (remaining rows, scaled by the pivot).
@@ -403,7 +275,7 @@ func (f *Factorization) factor(m *sparse.Matrix, collect bool) (defCols, defRows
 			if i == piv || v == 0 {
 				continue
 			}
-			if k := f.pinv[i]; k >= 0 && k < step {
+			if k := f.pinv[i]; k >= 0 && k < j {
 				f.uRowIdx = append(f.uRowIdx, k)
 				f.uVal = append(f.uVal, v)
 			} else {
@@ -411,29 +283,18 @@ func (f *Factorization) factor(m *sparse.Matrix, collect bool) (defCols, defRows
 				f.lVal = append(f.lVal, v/pivVal)
 			}
 		}
-		step++
-		f.lColPtr[step] = len(f.lRowIdx)
-		f.uColPtr[step] = len(f.uRowIdx)
-	}
-	if len(defCols) > 0 {
-		for i := 0; i < n; i++ {
-			if f.pinv[i] < 0 {
-				defRows = append(defRows, i)
-			}
-		}
-		sort.Ints(defCols)
-		return defCols, defRows, nil
+		f.lColPtr[j+1] = len(f.lRowIdx)
+		f.uColPtr[j+1] = len(f.uRowIdx)
 	}
 	f.complete = true
-	return nil, nil, nil
+	return nil
 }
 
-// checkComplete guards the solves against a factorization that failed
-// or came back rank-deficient from FactorDeficient: its partial
-// factors would silently produce garbage.
+// checkComplete guards the solves against a factorization that
+// failed: its partial factors would silently produce garbage.
 func (f *Factorization) checkComplete() {
 	if !f.complete {
-		panic("lu: solve on an incomplete (failed or deficient) factorization")
+		panic("lu: solve on an incomplete (failed) factorization")
 	}
 }
 

@@ -3,16 +3,12 @@ package lu
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/sparse"
 )
 
-// tinyDiag builds a diagonal matrix whose entries sit between the
-// default pivot tolerance and a loose one, so factorability depends
-// entirely on the tolerance in effect.
 func tinyDiag(n int, v float64) *sparse.Matrix {
 	b := sparse.NewBuilder(n, n)
 	for i := 0; i < n; i++ {
@@ -21,63 +17,22 @@ func tinyDiag(n int, v float64) *sparse.Matrix {
 	return b.Build()
 }
 
-func TestSetPivotTolTakesEffectNextFactor(t *testing.T) {
-	// Entries of 1e-8 clear DefaultPivotTol (1e-10) but not 1e-6.
-	m := tinyDiag(3, 1e-8)
+// TestSingularityThresholdIsFixed pins the absolute pivot tolerance
+// (1e-10): pivots of 1e-8 clear it and solve, pivots of 1e-11 do not.
+func TestSingularityThresholdIsFixed(t *testing.T) {
 	f := New(3)
-	if err := f.Factor(m); err != nil {
-		t.Fatalf("default tolerance rejected 1e-8 diagonal: %v", err)
-	}
-	// A late SetPivotTol must not retroactively poison the computed
-	// factorization: the solves keep working until the next Factor.
-	f.SetPivotTol(1e-6)
-	if got := f.PivotTol(); got != 1e-6 {
-		t.Fatalf("PivotTol = %g, want 1e-6", got)
+	if err := f.Factor(tinyDiag(3, 1e-8)); err != nil {
+		t.Fatalf("1e-8 diagonal rejected: %v", err)
 	}
 	x := make([]float64, 3)
 	f.Solve([]float64{1e-8, 2e-8, 3e-8}, x)
 	for i, want := range []float64{1, 2, 3} {
 		if math.Abs(x[i]-want) > 1e-9 {
-			t.Fatalf("solve after late SetPivotTol: x = %v", x)
+			t.Fatalf("solve of 1e-8 diagonal: x = %v", x)
 		}
 	}
-	// The next factorization reads the new tolerance and rejects the
-	// same matrix.
-	if err := f.Factor(m); !errors.Is(err, ErrSingular) {
-		t.Fatalf("next Factor ignored the new tolerance: err = %v", err)
-	}
-	// And loosening it again restores factorability.
-	f.SetPivotTol(1e-12)
-	if err := f.Factor(m); err != nil {
-		t.Fatalf("loosened tolerance: %v", err)
-	}
-}
-
-func TestSetPivotTolRejectsInvalid(t *testing.T) {
-	f := New(2)
-	for _, bad := range []float64{-1, math.NaN()} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SetPivotTol(%v) did not panic", bad)
-				}
-			}()
-			f.SetPivotTol(bad)
-		}()
-	}
-}
-
-func TestSetRelPivotTolRejectsInvalid(t *testing.T) {
-	f := New(2)
-	for _, bad := range []float64{0, -0.5, 1.5, math.NaN()} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SetRelPivotTol(%v) did not panic", bad)
-				}
-			}()
-			f.SetRelPivotTol(bad)
-		}()
+	if err := f.Factor(tinyDiag(3, 1e-11)); !errors.Is(err, ErrSingular) {
+		t.Fatalf("1e-11 diagonal: err = %v, want ErrSingular", err)
 	}
 }
 
@@ -99,159 +54,17 @@ func TestSingularErrorNamesStepAndColumn(t *testing.T) {
 	}
 }
 
-// TestThresholdPivotingDefaultIdentical pins the determinism contract:
-// τ = 1 (the default) must reproduce strict partial pivoting exactly —
-// same permutations, same factors, bit-identical solves.
-func TestThresholdPivotingDefaultIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for iter := 0; iter < 20; iter++ {
-		n := 2 + rng.Intn(30)
-		m := randomNonsingular(rng, n, 3*n)
-		fa, fb := New(n), New(n)
-		fb.SetRelPivotTol(1) // explicit τ = 1 vs untouched default
-		if err := fa.Factor(m); err != nil {
-			t.Fatal(err)
-		}
-		if err := fb.Factor(m); err != nil {
-			t.Fatal(err)
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		xa := make([]float64, n)
-		xb := make([]float64, n)
-		fa.Solve(b, xa)
-		fb.Solve(b, xb)
-		for i := range xa {
-			if xa[i] != xb[i] {
-				t.Fatalf("iter %d: τ=1 solve differs at %d: %v vs %v", iter, i, xa[i], xb[i])
-			}
-		}
-		if g := fa.Growth(); g > 1 {
-			t.Fatalf("strict partial pivoting reported growth %g > 1", g)
-		}
-	}
-}
-
-func TestThresholdPivotingSolvesAccurately(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, tau := range []float64{0.5, 0.1, 0.01} {
-		for iter := 0; iter < 15; iter++ {
-			n := 2 + rng.Intn(40)
-			m := randomNonsingular(rng, n, 4*n)
-			f := New(n)
-			f.SetRelPivotTol(tau)
-			if err := f.Factor(m); err != nil {
-				t.Fatalf("τ=%g iter %d: %v", tau, iter, err)
-			}
-			if g := f.Growth(); g > 1/tau+1e-9 {
-				t.Fatalf("τ=%g: growth %g exceeds 1/τ", tau, g)
-			}
-			b := make([]float64, n)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			x := make([]float64, n)
-			f.Solve(b, x)
-			if r := Residual(m, x, b); r > 1e-6 {
-				t.Fatalf("τ=%g iter %d: residual %g", tau, iter, r)
-			}
-		}
-	}
-}
-
-func TestGrowthLimitFallsBackToPartialPivot(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	n := 25
-	m := randomNonsingular(rng, n, 5*n)
-	f := New(n)
-	f.SetRelPivotTol(0.01)
-	f.SetGrowthLimit(2)
-	if err := f.Factor(m); err != nil {
-		t.Fatal(err)
-	}
-	if g := f.Growth(); g > 2+1e-9 {
-		t.Fatalf("growth %g exceeds the configured limit 2", g)
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n)
-	f.Solve(b, x)
-	if r := Residual(m, x, b); r > 1e-7 {
-		t.Fatalf("residual %g", r)
-	}
-}
-
-func TestFactorDeficientReportsDependents(t *testing.T) {
-	// Columns: c0 = [1 2 0], c1 = 3·c0, c2 = e2. Rank 2: exactly one
-	// dependent column (1) and one unpivoted row (0 or 1).
-	bld := sparse.NewBuilder(3, 3)
-	bld.Add(0, 0, 1)
-	bld.Add(1, 0, 2)
-	bld.Add(0, 1, 3)
-	bld.Add(1, 1, 6)
-	bld.Add(2, 2, 1)
-	m := bld.Build()
-	f := New(3)
-	cols, rows, err := f.FactorDeficient(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 1 || cols[0] != 1 {
-		t.Fatalf("dependent columns = %v, want [1]", cols)
-	}
-	if len(rows) != 1 || (rows[0] != 0 && rows[0] != 1) {
-		t.Fatalf("unpivoted rows = %v, want [0] or [1]", rows)
-	}
-	// Swapping the dependent column for a unit column on the unpivoted
-	// row must make the matrix factorable — the simplex repair contract.
-	rep := sparse.NewBuilder(3, 3)
-	rep.Add(0, 0, 1)
-	rep.Add(1, 0, 2)
-	rep.Add(rows[0], 1, 1)
-	rep.Add(2, 2, 1)
-	if err := f.Factor(rep.Build()); err != nil {
-		t.Fatalf("repaired matrix still refused to factor: %v", err)
-	}
-}
-
-func TestFactorDeficientFullRankMatchesFactor(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	n := 20
-	m := randomNonsingular(rng, n, 3*n)
-	f := New(n)
-	cols, rows, err := f.FactorDeficient(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 0 || len(rows) != 0 {
-		t.Fatalf("full-rank matrix reported deficiency: cols=%v rows=%v", cols, rows)
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n)
-	f.Solve(b, x)
-	if r := Residual(m, x, b); r > 1e-7 {
-		t.Fatalf("residual %g after clean FactorDeficient", r)
-	}
-}
-
 func TestSolvePanicsOnDeficientFactors(t *testing.T) {
 	bld := sparse.NewBuilder(2, 2)
 	bld.Add(0, 0, 1)
 	bld.Add(0, 1, 2) // rank 1
 	f := New(2)
-	if _, _, err := f.FactorDeficient(bld.Build()); err != nil {
-		t.Fatal(err)
+	if err := f.Factor(bld.Build()); !errors.Is(err, ErrSingular) {
+		t.Fatalf("want ErrSingular, got %v", err)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Solve on a deficient factorization did not panic")
+			t.Fatal("Solve on a failed factorization did not panic")
 		}
 	}()
 	x := make([]float64, 2)

@@ -231,8 +231,7 @@ func buildCommon(inst *coflow.Instance, grid timegrid.Grid, mode coflow.Model) (
 	for f, ref := range l.flows {
 		first := grid.FirstUsableSlot(inst.ReleaseAt(ref))
 		if first >= k {
-			return nil, fmt.Errorf("model: flow %v released at %g but horizon is %g slots",
-				ref, inst.ReleaseAt(ref), grid.Horizon())
+			return nil, &ReleaseError{Flow: ref, Release: inst.ReleaseAt(ref), Horizon: grid.Horizon()}
 		}
 		l.first[f] = first
 	}
@@ -303,6 +302,22 @@ func buildCommon(inst *coflow.Instance, grid timegrid.Grid, mode coflow.Model) (
 		}
 	}
 	return l, nil
+}
+
+// ReleaseError reports a flow released after the grid's last slot
+// starts, so no slot can carry it. A longer grid cures it; callers
+// detect it with errors.As. Uniform grids sized by core.DefaultGrid
+// never hit it; geometric grids can, because their last slot starts
+// well before the horizon.
+type ReleaseError struct {
+	Flow    coflow.FlowRef
+	Release float64 // the flow's release time
+	Horizon float64 // the grid's horizon, in slots
+}
+
+// Error describes the unusable flow.
+func (e *ReleaseError) Error() string {
+	return fmt.Sprintf("model: flow %v released at %g but horizon is %g slots", e.Flow, e.Release, e.Horizon)
 }
 
 // StatusError reports an LP that terminated without an optimum —

@@ -65,15 +65,6 @@ func (b *basis) refactor(cols *sparse.Matrix) error {
 	return nil
 }
 
-// deficiency diagnoses a basis matrix that refused to factorize: it
-// reruns the elimination in repair mode and returns the dependent
-// basis positions (columns of cols) and the rows left unpivoted. The
-// factorization object is left incomplete either way; the caller must
-// refactor() after swapping the offenders out.
-func (b *basis) deficiency(cols *sparse.Matrix) (positions, rows []int, err error) {
-	return b.lu.FactorDeficient(cols)
-}
-
 // pushEtaMask appends the index bitmask for the eta whose entries start
 // at etaPtr position lo.
 func (b *basis) pushEtaMask(lo int) {

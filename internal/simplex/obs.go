@@ -63,19 +63,11 @@ func (s *solver) flushObs() {
 	if reg == nil {
 		return
 	}
-	// simplex_solves_total counts logical solves: the strict singular
-	// retry inside Solve re-runs the same logical solve, so it reports
-	// under the labeled retry series instead of double-counting here.
-	if s.isRetry {
-		reg.Counter(`simplex_solve_retries_total{reason="singular"}`).Inc()
-	} else {
-		reg.Counter("simplex_solves_total").Inc()
-	}
+	reg.Counter("simplex_solves_total").Inc()
 	reg.Counter("simplex_pivots_total").Add(int64(s.iters))
 	reg.Counter("simplex_refactorizations_total").Add(int64(s.nRefactor))
 	// Add(0) still materializes the series, so scrapers can rely on the
-	// robustness counters existing from the first solve.
-	reg.Counter("simplex_repairs_total").Add(int64(s.nRepairs))
+	// perturbation counter existing from the first solve.
 	reg.Counter("simplex_perturbations_total").Add(int64(s.nPerturb))
 	reg.Counter("lu_factorizations_total").Add(int64(s.bas.lu.Factors()))
 	reg.Gauge("lu_fill_nnz").Set(int64(s.bas.lu.LNnz() + s.bas.lu.UNnz()))

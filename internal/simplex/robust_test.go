@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/lu"
@@ -106,10 +107,11 @@ func degenerateLP(r *rand.Rand) *Problem {
 	return &Problem{A: bld2.Build(), B: b2, C: c2, L: l2, U: u2}
 }
 
-// TestDegenerateLPsNeverSingular is the robustness property the basis
-// repair exists for: whatever a rank-deficient, tie-riddled LP does to
-// the basis, Solve must come back with a verdict — optimal, infeasible,
-// unbounded, or iteration limit — never a surfaced lu.ErrSingular.
+// TestDegenerateLPsNeverSingular is the robustness property the
+// solver must keep without any singular-basis recovery: whatever a
+// rank-deficient, tie-riddled LP does to the basis, Solve must come
+// back with a verdict — optimal, infeasible, unbounded, or iteration
+// limit — never a surfaced lu.ErrSingular.
 func TestDegenerateLPsNeverSingular(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for iter := 0; iter < 400; iter++ {
@@ -148,11 +150,9 @@ func TestDegenerateLPsNeverSingular(t *testing.T) {
 	}
 }
 
-// TestRefactorErrorCarriesContext checks the enriched singular-basis
-// error format end to end at the lu layer the solver wraps.
-func TestRefactorErrorCarriesContext(t *testing.T) {
-	// Force an unrepairable failure through the solver's own wrap path:
-	// repair disabled mirrors the warm-start validation configuration.
+// singularBasisSolver returns a solver for a 2×2 LP whose two
+// structural columns are parallel, with both installed as the basis.
+func singularBasisSolver() *solver {
 	bld := sparse.NewBuilder(2, 2)
 	bld.Add(0, 0, 1)
 	bld.Add(1, 0, 2)
@@ -178,80 +178,40 @@ func TestRefactorErrorCarriesContext(t *testing.T) {
 		xB:      make([]float64, 2),
 		artSign: []float64{1, 1},
 		bas:     newBasis(2),
+		y:       make([]float64, 2),
 		v2:      make([]float64, 2),
 	}
 	s.state[0], s.state[1] = stBasic, stBasic
 	s.state[2], s.state[3] = stLower, stLower
-	err := s.refactor()
+	return s
+}
+
+// TestRefactorErrorCarriesContext checks the enriched singular-basis
+// error format end to end at the lu layer the solver wraps.
+func TestRefactorErrorCarriesContext(t *testing.T) {
+	err := singularBasisSolver().refactor()
 	if err == nil {
-		t.Fatal("refactor of a singular basis with repair disabled returned nil")
+		t.Fatal("refactor of a singular basis returned nil")
 	}
 	if !errors.Is(err, lu.ErrSingular) {
 		t.Fatalf("error %v does not wrap lu.ErrSingular", err)
 	}
 	for _, want := range []string{"phase", "iteration", "refactorization", "step", "column"} {
-		if !containsStr(err.Error(), want) {
+		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q lacks %q context", err.Error(), want)
 		}
 	}
 }
 
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
+// TestFinishReportsFailedRefactor checks that a basis which fails the
+// final refactorization fails the solve with an error, instead of
+// computing duals from the incomplete factorization (which panics).
+func TestFinishReportsFailedRefactor(t *testing.T) {
+	sol, err := singularBasisSolver().finish(Optimal)
+	if err == nil {
+		t.Fatalf("finish on a singular basis returned %+v and no error", sol)
 	}
-	return false
-}
-
-// TestRepairedSingularBasisSolves drives refactor straight into the
-// repair path: a hand-installed dependent basis must be mended (the
-// dependent column swapped for an artificial) instead of erroring.
-func TestRepairedSingularBasisSolves(t *testing.T) {
-	bld := sparse.NewBuilder(2, 2)
-	bld.Add(0, 0, 1)
-	bld.Add(1, 0, 2)
-	bld.Add(0, 1, 2)
-	bld.Add(1, 1, 4) // col 1 = 2·col 0
-	p := &Problem{
-		A: bld.Build(),
-		B: []float64{0, 0},
-		C: []float64{1, 1},
-		L: []float64{0, 0},
-		U: []float64{10, 10},
-	}
-	s := &solver{
-		prob:    *p,
-		opt:     Options{}.withDefaults(2, 2),
-		m:       2,
-		n:       2,
-		total:   4,
-		cost:    make([]float64, 4),
-		state:   make([]int8, 4),
-		basisOf: []int{0, 1},
-		inRow:   []int{0, 1, -1, -1},
-		xB:      make([]float64, 2),
-		artSign: []float64{1, 1},
-		bas:     newBasis(2),
-		v2:      make([]float64, 2),
-	}
-	s.state[0], s.state[1] = stBasic, stBasic
-	s.state[2], s.state[3] = stLower, stLower
-	s.allowRepair = true
-	if err := s.refactor(); err != nil {
-		t.Fatalf("repair-enabled refactor failed: %v", err)
-	}
-	if s.nRepairs == 0 {
-		t.Fatal("singular basis factored without recording a repair")
-	}
-	nArt := 0
-	for _, j := range s.basisOf {
-		if j >= s.n {
-			nArt++
-		}
-	}
-	if nArt == 0 {
-		t.Fatalf("repair left no artificial in the basis: basisOf=%v", s.basisOf)
+	if !errors.Is(err, lu.ErrSingular) {
+		t.Fatalf("error %v does not wrap lu.ErrSingular", err)
 	}
 }

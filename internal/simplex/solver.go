@@ -18,6 +18,12 @@
 // Each pivot's work follows the entries it changes: the FTran'd column
 // and pivot row are solved and cleared over their nonzero rows only,
 // and only the columns the pivot row touches are re-priced.
+//
+// The solver has one numerical configuration: the tolerance, the
+// refactorization interval and the smallest ratio-test pivot are
+// constants. Degenerate stalls get a bounded deterministic cost
+// perturbation, large cold starts a slack crash. A basis that fails to
+// refactorize is not repaired; Solve reports it as an error.
 package simplex
 
 import (
@@ -27,7 +33,6 @@ import (
 	"math"
 	"math/bits"
 
-	"repro/internal/lu"
 	"repro/internal/obs"
 	"repro/internal/sparse"
 )
@@ -114,14 +119,6 @@ type Options struct {
 	// MaxIter bounds total simplex iterations (both phases).
 	// Default: 200*(m+n)+10000.
 	MaxIter int
-	// Tol is the primal feasibility / dual optimality tolerance.
-	// Default 1e-7.
-	Tol float64
-	// RefactorEvery is the pivot count between basis refactorizations.
-	// Default 120.
-	RefactorEvery int
-	// Logf, when non-nil, receives progress lines.
-	Logf func(format string, args ...any)
 	// WarmStart, when non-nil, seeds the solve with a previously
 	// exported basis, skipping phase 1 when it is primal feasible for
 	// this problem. Invalid or infeasible bases fall back to the cold
@@ -130,7 +127,7 @@ type Options struct {
 	// forced the fallback.
 	WarmStart *Basis
 	// Obs, when non-nil, receives solve telemetry: pivots,
-	// refactorizations, repairs, perturbations, LU factorization work,
+	// refactorizations, perturbations, LU factorization work,
 	// and the warm-start outcome. Counters accumulate locally
 	// and flush once per solve, so the pivot loop never touches an
 	// atomic; pivot sequences are identical with Obs set or nil.
@@ -140,12 +137,6 @@ type Options struct {
 func (o Options) withDefaults(m, n int) Options {
 	if o.MaxIter == 0 {
 		o.MaxIter = 200*(m+n) + 10000
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-7
-	}
-	if o.RefactorEvery == 0 {
-		o.RefactorEvery = 120
 	}
 	return o
 }
@@ -258,20 +249,12 @@ type solver struct {
 	stamp    []int32
 	stampGen int32
 
-	bland       bool    // Bland's rule anti-cycling mode
-	artFixed    bool    // artificial upper bounds pinned to 0 (phase 2)
-	minPiv      float64 // smallest acceptable ratio-test pivot magnitude
+	bland       bool // Bland's rule anti-cycling mode
+	artFixed    bool // artificial upper bounds pinned to 0 (phase 2)
 	degenStreak int
 	pivots      int // pivots since last refactorization
 	iters       int
 	phase       int // current phase (1 or 2), for error context
-
-	// Singular-basis repair state. allowRepair is off during warm-start
-	// validation, where rejecting the basis is the correct response to
-	// singularity. repaired marks that the basis just changed under the
-	// solve's feet, so refactor must re-verify primal feasibility.
-	allowRepair bool
-	repaired    bool
 
 	// Anti-degeneracy perturbation state: savedCost holds the true phase
 	// costs while perturbed (restored — and optimality re-verified —
@@ -280,26 +263,20 @@ type solver struct {
 	savedCost []float64
 
 	// Telemetry accumulators, flushed to Options.Obs once per solve
-	// (see flushObs). warm records the warm-start outcome; isRetry marks
-	// the strict singular retry so logical solves are counted once.
+	// (see flushObs). warm records the warm-start outcome.
 	warm           WarmOutcome
-	isRetry        bool
 	nRefactor      int
 	nDegen         int // degenerate (zero-step) pivots this solve
 	degenAtPerturb int // nDegen at the last perturbation (trigger baseline)
-	nRepairs       int // dependent basis columns swapped for artificials
 	nPerturb       int // cost perturbations applied on degenerate stalls
-	restarts       int // two-phase restarts after an infeasible repair
 }
 
-// Repair / anti-degeneracy limits. Each is a last-resort bound, not a
-// tuning knob: repairs normally succeed on the first attempt and
-// perturbations resolve a stall within one or two escalations.
 const (
-	maxRepairAttempts = 4  // deficiency-swap rounds per refactorization
-	maxRestarts       = 3  // two-phase restarts after infeasible repairs
-	maxPerturb        = 6  // cost perturbations per solveOnce
-	cancelCheckEvery  = 64 // pivots between context-cancellation polls
+	tol              = 1e-7 // primal feasibility / dual optimality tolerance
+	minPivot         = 1e-9 // smallest acceptable ratio-test pivot magnitude
+	refactorEvery    = 120  // pivots between basis refactorizations
+	maxPerturb       = 6    // cost perturbations per solve
+	cancelCheckEvery = 64   // pivots between context-cancellation polls
 )
 
 // crashMinRows gates the slack-crash start: at or above this row count
@@ -310,40 +287,20 @@ const (
 // golden trace and pivot-sequence differential stays byte-identical.
 const crashMinRows = 5000
 
-// errRestartPhases is an internal sentinel: a basis repair succeeded
-// numerically but left the basic values primal infeasible, so the
-// two-phase method must restart from a fresh artificial basis (run's
-// loop handles it; it never escapes Solve).
-var errRestartPhases = errors.New("simplex: restart phases after basis repair")
-
 // Solve minimizes the problem. An error is returned only for malformed
-// input or unrecoverable numerical failure; infeasibility, unboundedness
+// input, cancellation or numerical failure; infeasibility, unboundedness
 // and iteration exhaustion are reported through Solution.Status.
 //
-// A numerically singular basis is normally repaired in place: the
-// dependent basic columns identified by the failed elimination are
-// swapped for artificial columns and the solve continues (restarting
-// the two-phase method if the swap leaves the point infeasible). Only
-// when repair itself fails is the whole solve retried once with a
-// stricter pivot threshold and more frequent refactorization, before
-// the error is surfaced.
+// A basis that fails to refactorize is not repaired: Solve returns an
+// error that wraps lu.ErrSingular and names the phase, iteration and
+// refactorization where it happened. (A singular warm-start basis is
+// only rejected; the solve then starts cold.)
+//
 // Solve honors ctx: cancellation is polled between pivots (every
 // cancelCheckEvery iterations), so long solves return ctx.Err()
 // promptly instead of running to the iteration limit. The pivot
 // sequence of an uncancelled solve is identical for any ctx.
 func Solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
-	sol, err := solveOnce(ctx, p, opt, 1e-9, false)
-	if err != nil && errors.Is(err, lu.ErrSingular) {
-		strict := opt
-		if strict.RefactorEvery == 0 || strict.RefactorEvery > 40 {
-			strict.RefactorEvery = 40
-		}
-		return solveOnce(ctx, p, strict, 1e-6, true)
-	}
-	return sol, err
-}
-
-func solveOnce(ctx context.Context, p *Problem, opt Options, minPiv float64, retry bool) (*Solution, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -381,10 +338,7 @@ func solveOnce(ctx context.Context, p *Problem, opt Options, minPiv float64, ret
 		touched: make([]int32, 0, n+m),
 		stamp:   make([]int32, n+m),
 		arj:     make([]float64, n+m),
-		minPiv:  minPiv,
-		isRetry: retry,
 	}
-	s.allowRepair = true
 	s.buildCSR()
 	defer s.flushObs()
 	return s.run()
@@ -471,91 +425,40 @@ func (s *solver) colDot(j int, y []float64) float64 {
 	return s.artSign[j-s.n] * y[j-s.n]
 }
 
-func (s *solver) logf(format string, args ...any) {
-	if s.opt.Logf != nil {
-		s.opt.Logf(format, args...)
-	}
-}
-
 func (s *solver) run() (*Solution, error) {
 	if s.opt.WarmStart != nil {
-		s.allowRepair = false // singular warm basis must be rejected, not repaired
 		s.warm = s.tryWarmStart()
-		s.allowRepair = true
 		if s.warm == WarmAccepted {
-			if s.opt.Logf != nil {
-				obj := 0.0
-				for j := 0; j < s.n; j++ {
-					if s.state[j] != stBasic {
-						obj += s.prob.C[j] * s.value(j)
-					}
-				}
-				for i := 0; i < s.m; i++ {
-					if j := s.basisOf[i]; j < s.n {
-						obj += s.prob.C[j] * s.xB[i]
-					}
-				}
-				s.logf("warm start accepted: phase 2 from objective %g", obj)
-			}
 			// The warm basis is primal feasible: phase 2 directly.
 			status, err := s.iterate(2)
-			if err == nil {
-				return s.finish(status), nil
-			}
-			if !errors.Is(err, errRestartPhases) {
+			if err != nil {
 				return nil, err
 			}
-			// A mid-solve repair left the warm basis infeasible: fall
-			// back to the two-phase method via a crash restart.
-			s.restarts++
-			s.logf("basis repair left warm-started point infeasible; restarting two-phase solve")
-			s.crashRestart()
-		} else {
-			s.artFixed = false // shed any residue of a rejected warm start
-			s.initBasis()
+			return s.finish(status)
 		}
-	} else {
-		s.initBasis()
 	}
-	for {
-		sol, err := s.phases()
-		if err == nil || !errors.Is(err, errRestartPhases) {
-			return sol, err
-		}
-		if s.restarts >= maxRestarts {
-			// Give up on in-place repair; wrapping ErrSingular hands the
-			// problem to Solve's strict whole-solve retry.
-			return nil, fmt.Errorf("simplex: basis repair could not restore feasibility after %d restarts: %w",
-				s.restarts, lu.ErrSingular)
-		}
-		s.restarts++
-		s.logf("basis repair left the point infeasible; restarting two-phase solve (restart %d)", s.restarts)
-		s.crashRestart()
-	}
+	s.initBasis()
+	return s.phases()
 }
 
-// phases runs the two-phase method from the currently installed basis:
-// phase 1 minimizes the artificial sum, phase 2 the real costs. It is
-// entered from a fresh initBasis and re-entered (via run's loop) after
-// a crash restart when a basis repair left the point infeasible.
+// phases runs the two-phase method from the basis initBasis installed:
+// phase 1 minimizes the artificial sum, phase 2 the real costs.
 func (s *solver) phases() (*Solution, error) {
-	// Phase 1: minimize the sum of artificial variables.
+	// Phase 1: minimize the sum of artificial variables. A rejected
+	// warm start may have left the artificials pinned.
 	s.artFixed = false
-	s.perturbed = false // phase costs rebuilt below; drop any stale perturbation
 	for j := 0; j < s.n; j++ {
 		s.cost[j] = 0
 	}
 	for i := 0; i < s.m; i++ {
 		s.cost[s.n+i] = 1
 	}
-	s.bland = false
-	s.degenStreak = 0
 	status, err := s.iterate(1)
 	if err != nil {
 		return nil, err
 	}
 	if status == IterLimit {
-		return s.finish(IterLimit), nil
+		return s.finish(IterLimit)
 	}
 	infeas := 0.0
 	for i := 0; i < s.m; i++ {
@@ -564,9 +467,8 @@ func (s *solver) phases() (*Solution, error) {
 		}
 	}
 	scale := 1 + sparse.InfNorm(s.prob.B)
-	if infeas > s.opt.Tol*scale*10 {
-		s.logf("phase 1 infeasible: residual %g", infeas)
-		return s.finish(Infeasible), nil
+	if infeas > tol*scale*10 {
+		return s.finish(Infeasible)
 	}
 
 	// Phase 2: real costs; artificials pinned to zero.
@@ -585,25 +487,7 @@ func (s *solver) phases() (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.finish(status), nil
-}
-
-// crashRestart rebuilds a valid phase-1 start after a basis repair left
-// the point infeasible, preserving as much of the incumbent as it can:
-// every nonbasic variable keeps its bound, basic structurals are kicked
-// to the bound nearest their current value, and a fresh artificial
-// basis absorbs the residual.
-func (s *solver) crashRestart() {
-	s.artFixed = false
-	for j := 0; j < s.n; j++ {
-		if s.state[j] == stBasic {
-			s.setNonbasicNear(j, s.xB[s.inRow[j]])
-		}
-	}
-	for i := 0; i < s.m; i++ {
-		s.basisOf[i] = -1
-	}
-	s.installArtificialBasis()
+	return s.finish(status)
 }
 
 // basicValueOf returns the value of variable j if basic, else its
@@ -735,7 +619,6 @@ func (s *solver) slackCrash() {
 			}
 		}
 	}
-	seated := 0
 	for j := 0; j < s.n; j++ {
 		idx, val := s.prob.A.Col(j)
 		if len(idx) != 1 || math.Abs(val[0]) < 1e-7 {
@@ -754,21 +637,15 @@ func (s *solver) slackCrash() {
 		s.state[j] = stBasic
 		s.inRow[j] = i
 		s.basisOf[i] = j
-		seated++
 	}
 	for i := range r {
 		r[i] = 0
-	}
-	if seated > 0 {
-		s.logf("slack crash seated %d of %d rows", seated, s.m)
 	}
 }
 
 // installArtificialBasis makes the artificial variable basic on every
 // row not already covered by a crash-seated column, signed to absorb
 // the residual b − A·x_N of the current nonbasic structural values.
-// Shared by the cold start and crash restarts (which clear basisOf
-// first, so they rebuild a full artificial basis).
 func (s *solver) installArtificialBasis() {
 	// Residual r = b − A·x_N. Crash-seated basic columns contribute
 	// nothing here (value() is 0 for stBasic); their rows' entries are
@@ -805,29 +682,10 @@ func (s *solver) installArtificialBasis() {
 	}
 	if err := s.refactor(); err != nil {
 		// The crash basis is lower-triangular up to a permutation
-		// (singleton columns plus ±identity artificials); this cannot
-		// fail, and refactor would repair it even if it could.
+		// (singleton columns plus ±identity artificials), so this
+		// cannot fail.
 		panic(err)
 	}
-}
-
-// setNonbasicNear makes variable j nonbasic at the bound nearest value
-// v (free variables go to the zero reference state).
-func (s *solver) setNonbasicNear(j int, v float64) {
-	l, u := s.lb(j), s.ub(j)
-	switch {
-	case math.IsInf(l, -1) && math.IsInf(u, 1):
-		s.state[j] = stFree
-	case math.IsInf(l, -1):
-		s.state[j] = stUpper
-	case math.IsInf(u, 1):
-		s.state[j] = stLower
-	case math.Abs(v-l) <= math.Abs(u-v):
-		s.state[j] = stLower
-	default:
-		s.state[j] = stUpper
-	}
-	s.inRow[j] = -1
 }
 
 // basisMatrix assembles the current basis columns into the m×m CSC
@@ -860,23 +718,11 @@ func (s *solver) basisMatrix() *sparse.Matrix {
 
 // refactor rebuilds the LU factorization from the current basis and
 // recomputes xB from scratch to shed accumulated roundoff. A singular
-// basis is repaired in place (repairBasis) rather than surfaced, up to
-// a bounded number of attempts; when a repair changed the basis, the
-// recomputed point is checked for primal feasibility and
-// errRestartPhases is returned if it was lost.
+// basis comes back as an error wrapping lu.ErrSingular, with the
+// phase, iteration and refactorization count.
 func (s *solver) refactor() error {
 	s.nRefactor++
-	mat := s.basisMatrix()
-	err := s.bas.refactor(mat)
-	for attempt := 0; err != nil && errors.Is(err, lu.ErrSingular) && s.allowRepair && attempt < maxRepairAttempts; attempt++ {
-		if rerr := s.repairBasis(mat); rerr != nil {
-			s.logf("basis repair abandoned: %v", rerr)
-			break
-		}
-		mat = s.basisMatrix()
-		err = s.bas.refactor(mat)
-	}
-	if err != nil {
+	if err := s.bas.refactor(s.basisMatrix()); err != nil {
 		return fmt.Errorf("simplex: basis refactorization failed (phase %d, iteration %d, refactorization %d): %w",
 			s.phase, s.iters, s.nRefactor, err)
 	}
@@ -904,61 +750,20 @@ func (s *solver) refactor() error {
 		r[i] = 0
 	}
 	s.pivots = 0
-	if s.repaired {
-		s.repaired = false
-		if !s.basicFeasible() {
-			return errRestartPhases
-		}
-		s.logf("basis repair preserved primal feasibility; continuing")
-	}
 	return nil
 }
 
 // basicFeasible reports whether every basic value respects its bounds,
 // under the same scaled tolerance as the phase-1 exit check.
 func (s *solver) basicFeasible() bool {
-	tol := s.opt.Tol * (1 + sparse.InfNorm(s.prob.B)) * 10
+	slack := tol * (1 + sparse.InfNorm(s.prob.B)) * 10
 	for i := 0; i < s.m; i++ {
 		j := s.basisOf[i]
-		if v := s.xB[i]; v < s.lb(j)-tol || v > s.ub(j)+tol {
+		if v := s.xB[i]; v < s.lb(j)-slack || v > s.ub(j)+slack {
 			return false
 		}
 	}
 	return true
-}
-
-// repairBasis swaps the dependent columns of a numerically singular
-// basis for artificial unit columns on the rows the failed elimination
-// left unpivoted; the displaced variables go to their nearest bound.
-// The artificial for an unpivoted row is necessarily nonbasic: unit
-// columns are eliminated first (fewest nonzeros) and always pivot
-// their own row.
-func (s *solver) repairBasis(mat *sparse.Matrix) error {
-	positions, rows, err := s.bas.deficiency(mat)
-	if err != nil {
-		return err
-	}
-	if len(positions) == 0 || len(positions) != len(rows) {
-		return fmt.Errorf("deficiency analysis returned %d dependent columns for %d unpivoted rows",
-			len(positions), len(rows))
-	}
-	for k, rpos := range positions {
-		i := rows[k]
-		art := s.n + i
-		if s.state[art] == stBasic {
-			return fmt.Errorf("artificial for unpivoted row %d is already basic", i)
-		}
-		old := s.basisOf[rpos]
-		s.setNonbasicNear(old, s.xB[rpos])
-		s.state[art] = stBasic
-		s.inRow[art] = rpos
-		s.basisOf[rpos] = art
-	}
-	s.nRepairs += len(positions)
-	s.repaired = true
-	s.logf("repaired singular basis: swapped %d dependent column(s) for artificials (phase %d, iteration %d, total repairs %d)",
-		len(positions), s.phase, s.iters, s.nRepairs)
-	return nil
 }
 
 // computeDuals fills s.y with B⁻ᵀ c_B.
@@ -1035,7 +840,6 @@ func (s *solver) pricingTree() *devexTree {
 // objective, and in which direction (+1 increase, −1 decrease).
 func (s *solver) eligible(j int) (dir float64, ok bool) {
 	d := s.ddw[2*j]
-	tol := s.opt.Tol
 	switch s.state[j] {
 	case stLower:
 		if s.lb(j) == s.ub(j) {
@@ -1228,7 +1032,7 @@ func (s *solver) perturb() {
 	if esc > 6 {
 		esc = 6
 	}
-	mag := 100 * s.opt.Tol * float64(int(1)<<uint(esc))
+	mag := 100 * tol * float64(int(1)<<uint(esc))
 	for j := 0; j < s.total; j++ {
 		if s.lb(j) == s.ub(j) {
 			continue // fixed variables cannot move; perturbing them is noise
@@ -1275,9 +1079,8 @@ type ratioResult struct {
 // ratioTest computes the maximum step for entering variable j moving
 // in direction dir with FTran'd column w (nonzeros listed in wIdx).
 func (s *solver) ratioTest(j int, dir float64, w []float64, wIdx []int) ratioResult {
-	tol := s.opt.Tol
-	pivTol := s.minPiv
-	if s.perturbed && pivTol < 1e-8 {
+	pivTol := minPivot
+	if s.perturbed {
 		// Harris tightening under anti-degeneracy perturbation: refuse
 		// the tiny pivots that drive bases singular during stalls. A
 		// column rejected wholesale reports unbounded; iterate then
@@ -1464,11 +1267,10 @@ func (s *solver) iterate(phase int) (Status, error) {
 		}
 		s.iters++
 
-		if res.t <= s.opt.Tol {
+		if res.t <= tol {
 			s.nDegen++
 			s.degenStreak++
 			if s.degenStreak > degenLimit && !s.bland {
-				s.logf("degenerate streak %d at iter %d: enabling Bland's rule", s.degenStreak, s.iters)
 				s.bland = true
 			}
 			// Stalling on large LPs is diffuse — thousands of short
@@ -1476,8 +1278,6 @@ func (s *solver) iterate(phase int) (Status, error) {
 			// the trigger is cumulative degenerate work since the last
 			// perturbation, not consecutive-streak length.
 			if s.nDegen-s.degenAtPerturb > perturbLimit && s.nPerturb < maxPerturb {
-				s.logf("%d degenerate pivots since last perturbation at iter %d: perturbing costs (perturbation %d)",
-					s.nDegen-s.degenAtPerturb, s.iters, s.nPerturb+1)
 				s.perturb()
 				s.degenAtPerturb = s.nDegen
 				continue // re-price under the perturbed costs
@@ -1548,7 +1348,7 @@ func (s *solver) iterate(phase int) (Status, error) {
 
 		s.bas.pushEta(r, s.w, s.wIdx, 1e-12)
 		s.pivots++
-		if s.pivots >= s.opt.RefactorEvery || s.bas.etaNnz() > 40*s.m {
+		if s.pivots >= refactorEvery || s.bas.etaNnz() > 40*s.m {
 			if err := s.refactor(); err != nil {
 				return IterLimit, err
 			}
@@ -1558,10 +1358,11 @@ func (s *solver) iterate(phase int) (Status, error) {
 }
 
 // finish assembles the Solution, refreshing the factorization so the
-// reported primal/dual values are clean.
-func (s *solver) finish(status Status) *Solution {
+// reported primal/dual values are clean. A basis that no longer
+// factorizes fails the solve: the duals need a complete factorization.
+func (s *solver) finish(status Status) (*Solution, error) {
 	if err := s.refactor(); err != nil {
-		s.logf("final refactor failed: %v", err)
+		return nil, err
 	}
 	sol := &Solution{
 		Status:     status,
@@ -1606,5 +1407,5 @@ func (s *solver) finish(status Status) *Solution {
 			sol.Basis = wb
 		}
 	}
-	return sol
+	return sol, nil
 }

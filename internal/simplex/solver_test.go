@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/sparse"
 )
 
@@ -415,8 +416,9 @@ func TestIterLimitReported(t *testing.T) {
 }
 
 func TestLargerStructuredLP(t *testing.T) {
-	// A multiperiod "machine scheduling" LP exercising refactorization
-	// and eta accumulation: T periods, K jobs, per-period capacity.
+	// A multiperiod "machine scheduling" LP long enough to exercise
+	// refactorization and eta accumulation: T periods, K jobs,
+	// per-period capacity.
 	rng := rand.New(rand.NewSource(99))
 	T, K := 40, 30
 	// Variables x[k][t] ∈ [0,1]; Σ_t x[k][t] = 1; Σ_k x[k][t] ≤ cap.
@@ -447,12 +449,16 @@ func TestLargerStructuredLP(t *testing.T) {
 		b[K+tt] = 2.0 // capacity
 	}
 	p := &Problem{A: bld.Build(), B: b, C: c, L: l, U: u}
-	sol, err := Solve(context.Background(), p, Options{RefactorEvery: 30})
+	reg := obs.NewRegistry()
+	sol, err := Solve(context.Background(), p, Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v after %d iters", sol.Status, sol.Iterations)
+	}
+	if n := reg.Counter("simplex_refactorizations_total").Value(); n < 3 {
+		t.Fatalf("%d refactorizations in %d pivots, want at least 3", n, sol.Iterations)
 	}
 	checkKKT(t, p, sol)
 }
