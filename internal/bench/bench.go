@@ -146,11 +146,10 @@ type simCase struct {
 	// maxSize gates policies whose per-replan cost is quadratic in the
 	// backlog off the largest tiers.
 	maxSize int
-	// slots, trials, and warmLP configure wrapped engine schedulers
-	// for "epoch:<scheduler>" policies (zero values = sim defaults).
+	// slots and trials configure wrapped engine schedulers for
+	// "epoch:<scheduler>" policies (zero values = sim defaults).
 	slots  int
 	trials int
-	warmLP bool
 	// telemetry attaches an enabled obs registry, so the cell measures
 	// the event loop with the atomic counters live.
 	telemetry bool
@@ -158,10 +157,7 @@ type simCase struct {
 
 // options builds the simulator options for this cell.
 func (sc simCase) options(seed int64) sim.Options {
-	o := sim.Options{
-		Policy: sc.policy, MaxSlots: sc.slots, Trials: sc.trials,
-		WarmLP: sc.warmLP, Seed: seed,
-	}
+	o := sim.Options{Policy: sc.policy, MaxSlots: sc.slots, Trials: sc.trials, Seed: seed}
 	if sc.telemetry {
 		o.Obs = obs.NewRegistry()
 	}
@@ -179,14 +175,12 @@ var simSuite = []simCase{
 // hotPathSuite pins cells at fixed instance sizes regardless of the
 // selected tier, so every harness run (including the 1k CI gate)
 // tracks them: the 10k las/fair floors the incremental allocators
-// bought, the epoch:stretch cell — one LP re-plan per arrival, with
-// WarmLP on although the solver rejects almost every carried basis, so
-// nearly every re-plan solves cold — that the interval-LP speedup made
-// runnable at 1k coflows, and a telemetry variant of the
-// fifo cell that bounds what an enabled obs registry costs the event
-// loop (the >25% events/sec gate is the overhead budget). A cell
-// whose name the tier ladder already produced is skipped rather than
-// measured twice.
+// bought, the epoch:stretch cell — one LP re-plan per arrival, each
+// solve starting from the residual's greedy vertex — at 1k coflows,
+// and a telemetry variant of the fifo cell that bounds what an enabled
+// obs registry costs the event loop (the >25% events/sec gate is the
+// overhead budget). A cell whose name the tier ladder already produced
+// is skipped rather than measured twice.
 var hotPathSuite = []struct {
 	simCase
 	n   int
@@ -194,7 +188,7 @@ var hotPathSuite = []struct {
 }{
 	{simCase{policy: "las", spec: "leaf-spine:leaves=8,spines=4,hosts=4", inter: 0.25}, 10000, ""},
 	{simCase{policy: "fair", spec: "big-switch:n=64", inter: 0.25}, 10000, ""},
-	{simCase{policy: "epoch:stretch", spec: "swan", inter: 4.0, slots: 8, trials: 1, warmLP: true}, 1000, ""},
+	{simCase{policy: "epoch:stretch", spec: "swan", inter: 4.0, slots: 8, trials: 1}, 1000, ""},
 	{simCase{policy: "fifo", spec: "big-switch:n=64", inter: 0.25, telemetry: true}, 1000, "telemetry"},
 }
 

@@ -203,9 +203,10 @@ type Result struct {
 	// Basis is the LP's exported optimal basis (nil when not
 	// exportable); feed it to Options.WarmBasis on a related instance.
 	Basis *lp.Basis
-	// WarmStart reports what became of Options.WarmBasis: accepted, or
-	// the validation check that rejected it (WarmNone when no basis was
-	// supplied).
+	// WarmStart reports what became of Options.WarmBasis, or of the
+	// single path model's greedy seed when no basis was supplied:
+	// accepted, or the validation check that rejected it (WarmNone for
+	// a free or multi path LP solved without a basis).
 	WarmStart simplex.WarmOutcome
 }
 

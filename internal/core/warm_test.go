@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/coflow"
 	"repro/internal/graph"
+	"repro/internal/model"
 	"repro/internal/simplex"
 	"repro/internal/workload"
 )
@@ -119,34 +120,49 @@ func TestWarmBasisResidualInstance(t *testing.T) {
 
 // TestWarmBasisSameInstanceFewerIterations checks warm-starting is
 // actually doing something: re-solving the identical instance from its
-// own optimal basis must use far fewer simplex iterations.
+// own optimal basis must use far fewer simplex iterations than a cold
+// start. The cold baseline is a solve at the lp layer, which never
+// seeds a basis; SolveLP itself starts from the greedy vertex.
 func TestWarmBasisSameInstanceFewerIterations(t *testing.T) {
+	ctx := context.Background()
 	in := warmTestInstance(t, 8, 6)
 	opt := Options{Grid: DefaultGrid(in, coflow.SinglePath, 24)}
-	cold, err := SolveLP(context.Background(), in, coflow.SinglePath, opt)
+	l, err := model.BuildSinglePath(in, opt.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := l.Model.SolveWarm(ctx, simplex.Options{}, nil)
 	if err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}
-	if cold.Basis == nil {
-		t.Fatal("cold solve exported no basis")
-	}
-	wopt := opt
-	wopt.WarmBasis = cold.Basis
-	warm, err := SolveLP(context.Background(), in, coflow.SinglePath, wopt)
-	if err != nil {
-		t.Fatalf("warm solve: %v", err)
-	}
-	if !lbClose(cold.LowerBound, warm.LowerBound) {
-		t.Fatalf("cold LP bound %v, warm LP bound %v", cold.LowerBound, warm.LowerBound)
-	}
-	if warm.Iterations > cold.Iterations/4 {
-		t.Fatalf("warm resolve took %d iterations vs %d cold: warm start not engaging",
-			warm.Iterations, cold.Iterations)
+	if cold.Status != simplex.Optimal {
+		t.Fatalf("cold solve ended %v", cold.Status)
 	}
 	if cold.WarmStart != simplex.WarmNone {
 		t.Fatalf("cold solve reports warm outcome %v, want none", cold.WarmStart)
 	}
+	seeded, err := SolveLP(ctx, in, coflow.SinglePath, opt)
+	if err != nil {
+		t.Fatalf("seeded solve: %v", err)
+	}
+	if seeded.Basis == nil {
+		t.Fatal("seeded solve exported no basis")
+	}
+	wopt := opt
+	wopt.WarmBasis = seeded.Basis
+	warm, err := SolveLP(ctx, in, coflow.SinglePath, wopt)
+	if err != nil {
+		t.Fatalf("warm solve: %v", err)
+	}
+	if !lbClose(cold.Obj, seeded.LowerBound) || !lbClose(cold.Obj, warm.LowerBound) {
+		t.Fatalf("LP bounds differ: cold %v, seeded %v, warm %v", cold.Obj, seeded.LowerBound, warm.LowerBound)
+	}
+	if warm.Iterations > cold.Iterations()/4 {
+		t.Fatalf("warm resolve took %d iterations vs %d cold: warm start not engaging",
+			warm.Iterations, cold.Iterations())
+	}
 	if warm.WarmStart != simplex.WarmAccepted {
 		t.Fatalf("warm resolve reports outcome %v, want accepted", warm.WarmStart)
 	}
+	t.Logf("iterations: cold %d, greedy-seeded %d, warm %d", cold.Iterations(), seeded.Iterations, warm.Iterations)
 }

@@ -178,7 +178,8 @@ func (sincroniaScheduler) Schedule(ctx context.Context, inst *coflow.Instance, o
 // fromCore builds the common Result fields from a pipeline run, using
 // the λ=1 heuristic as the reported schedule. Extra["warm-start"] is
 // the numeric simplex.WarmOutcome code (0 none, 1 accepted, 2+ the
-// rejection reason), present only when a warm basis was supplied, so
+// rejection reason), present only when the solve started from a basis
+// (a supplied one, or the single path model's greedy seed), so
 // harnesses can tell a silent cold fallback from a genuine warm solve.
 func fromCore(cr *core.Result) *Result {
 	extra := map[string]float64{"simplex-iterations": float64(cr.Iterations)}

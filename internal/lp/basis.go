@@ -8,13 +8,13 @@ import (
 
 // Basis is a name-keyed snapshot of an optimal simplex basis. Keying
 // by variable and constraint name makes the basis portable across
-// model rebuilds: a model for a perturbed instance, a longer time
-// grid, or the next epoch's residual instance can import it even when
-// its variables appear in a different order or only partially overlap
-// — entities present in both models take their recorded status, new
-// entities default to the cold-start state, and vanished entities are
-// dropped. The simplex layer then validates the assembled basis and
-// falls back to a cold start when it does not fit.
+// model rebuilds: a model for a perturbed instance or a longer time
+// grid can import it even when its variables appear in a different
+// order or only partially overlap — entities present in both models
+// take their recorded status, new entities default to the cold-start
+// state, and vanished entities are dropped. The simplex layer then
+// validates the assembled basis and falls back to a cold start when it
+// does not fit.
 type Basis struct {
 	// Vars maps variable name → simplex status
 	// (simplex.VarBasic/VarLower/VarUpper/VarFree).
@@ -80,7 +80,7 @@ func (m *Model) exportBasis(sb *simplex.Basis) *Basis {
 	n := len(m.varNames)
 	b := &Basis{
 		Vars: make(map[string]int8, n),
-		Cons: make(map[string]int8),
+		Cons: make(map[string]int8, len(m.conNames)),
 	}
 	for j := 0; j < n; j++ {
 		b.Vars[m.varNames[j]] = sb.State[j]

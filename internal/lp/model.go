@@ -200,6 +200,7 @@ func (m *Model) SolveWarm(ctx context.Context, opt simplex.Options, warm *Basis)
 	}
 	total := n + slacks
 	bld := sparse.NewBuilder(mm, total)
+	bld.Grow(len(m.vals) + slacks)
 	for k := range m.vals {
 		bld.Add(int(m.rows[k]), int(m.cols[k]), m.vals[k])
 	}

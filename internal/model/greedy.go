@@ -10,12 +10,6 @@ import (
 	"repro/internal/simplex"
 )
 
-// greedyWarmMinRows gates the greedy crash basis: below this
-// constraint count the solver's cold start is cheap and every committed
-// golden trace stays byte-identical, so the basis is only built for the
-// large interval LPs where phase 1 is the dominant cost.
-const greedyWarmMinRows = 5000
-
 // GreedyBasis constructs a warm-start basis for the single path
 // relaxation from a greedy work-conserving schedule: coflows in
 // weight-over-demand (Smith rule) order, each released flow filling the

@@ -84,7 +84,8 @@ type Solution struct {
 	// solve of a related relaxation (nil when not exportable).
 	Basis *lp.Basis
 	// WarmStart reports what became of the warm basis handed to
-	// SolveWarm (accepted, or the validation check that rejected it).
+	// SolveWarm, or of the greedy seed when none was (accepted, or the
+	// validation check that rejected it).
 	WarmStart simplex.WarmOutcome
 }
 
@@ -340,15 +341,13 @@ func (l *LP) Solve(ctx context.Context, opt simplex.Options) (*Solution, error) 
 }
 
 // SolveWarm is Solve with an optional warm-start basis carried over
-// from a previous relaxation (a perturbed instance, a regridded
-// horizon, or the prior epoch's residual). Invalid bases fall back to
-// a cold solve inside the solver.
+// from a previous relaxation (a perturbed instance or a regridded
+// horizon). With no caller basis, a single path relaxation starts from
+// its greedy vertex (see GreedyBasis), which skips phase 1 entirely.
+// The solver validates either basis like any other and falls back to
+// a cold solve when it does not fit; Solution.WarmStart reports which.
 func (l *LP) SolveWarm(ctx context.Context, opt simplex.Options, warm *lp.Basis) (*Solution, error) {
-	// With no caller basis, large single path relaxations warm-start
-	// from the greedy crash basis (see GreedyBasis): a feasible vertex
-	// that skips phase 1 entirely. The solver validates it like any
-	// other warm basis, so a rejection only means a cold start.
-	if warm == nil && l.Model.NumConstrs() >= greedyWarmMinRows {
+	if warm == nil {
 		warm = l.GreedyBasis()
 	}
 	raw, err := l.Model.SolveWarm(ctx, opt, warm)

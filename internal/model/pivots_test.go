@@ -33,9 +33,8 @@ import (
 
 const pivotsGolden = "testdata/pivots.golden"
 
-// pinCase is one LP of the corpus. slow cases are skipped under -short
-// and the race detector; warmFrom names an earlier case whose optimal
-// basis seeds this one.
+// pinCase is one LP of the corpus. warmFrom names an earlier case whose
+// optimal basis seeds this one.
 type pinCase struct {
 	name     string
 	mode     coflow.Model
@@ -44,7 +43,6 @@ type pinCase struct {
 	maxSlots int
 	reweight float64 // multiplier of odd coflows' weights (0 = 1)
 	warmFrom string
-	slow     bool
 }
 
 func pinCorpus() []pinCase {
@@ -60,11 +58,11 @@ func pinCorpus() []pinCase {
 	// spec front door generates them.
 	for seed := int64(1); seed <= 16; seed++ {
 		if seed == 4 {
-			continue // in the fast part above
+			continue // listed above
 		}
 		cs = append(cs, pinCase{
 			name: fmt.Sprintf("single/fb8/seed%d", seed), mode: coflow.SinglePath,
-			coflows: 8, seed: seed, maxSlots: 48, slow: true,
+			coflows: 8, seed: seed, maxSlots: 48,
 		})
 	}
 	return cs
@@ -124,7 +122,7 @@ func pinLP(t *testing.T, c pinCase) *LP {
 // pinLine solves l as SolveWarm does and renders the pinned facts.
 func pinLine(t *testing.T, name string, l *LP, warm *lp.Basis) (string, *lp.Basis) {
 	t.Helper()
-	if warm == nil && l.Model.NumConstrs() >= greedyWarmMinRows {
+	if warm == nil {
 		warm = l.GreedyBasis()
 	}
 	reg := obs.NewRegistry()
@@ -163,16 +161,9 @@ func TestPivotSequencePin(t *testing.T) {
 			want[name] = line
 		}
 	}
-	skipSlow := testing.Short() || raceEnabled
-	if update && skipSlow {
-		t.Fatal("UPDATE_GOLDEN needs the whole corpus: run without -short and -race")
-	}
 	bases := map[string]*lp.Basis{}
 	var got []string
 	for _, c := range pinCorpus() {
-		if c.slow && skipSlow {
-			continue
-		}
 		var warm *lp.Basis
 		if c.warmFrom != "" {
 			if warm = bases[c.warmFrom]; warm == nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/coflow"
 	"repro/internal/engine"
-	"repro/internal/lp"
 	"repro/internal/stats"
 )
 
@@ -39,12 +38,6 @@ type epochAdapter struct {
 	opt     Options
 	order   []int // cached priority order, original coflow indices
 	replans int
-	// lastBasis is the LP basis exported by the previous replan,
-	// re-imported on the next one when Options.WarmLP is set. The
-	// residual instance shrinks and shifts between replans, so the
-	// name-keyed remap keeps whatever still matches and the solver
-	// falls back to a cold start when too little does.
-	lastBasis *lp.Basis
 }
 
 // newAdapter resolves the wrapped scheduler eagerly so unknown or
@@ -94,15 +87,9 @@ func (p *epochAdapter) replan(ctx context.Context, st *State) error {
 		Workers:  p.opt.Workers,
 		Obs:      p.opt.Obs,
 	}
-	if p.opt.WarmLP {
-		eopt.WarmBasis = p.lastBasis
-	}
 	res, err := engine.Schedule(ctx, p.sched, sub, coflow.SinglePath, eopt)
 	if err != nil {
 		return fmt.Errorf("replanning with %s over %d coflows: %w", p.sched, len(sub.Coflows), err)
-	}
-	if p.opt.WarmLP && res.Core != nil {
-		p.lastBasis = res.Core.Basis
 	}
 	if len(res.Completions) != len(sub.Coflows) {
 		return fmt.Errorf("scheduler %s returned %d completions for %d coflows",

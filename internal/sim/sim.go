@@ -84,15 +84,9 @@ type Options struct {
 	Workers int
 	// MaxEvents caps the event loop as a runaway guard (0 = 1<<20).
 	MaxEvents int
-	// WarmLP carries the LP basis of each epoch re-plan into the next
-	// one (epoch:<lp-scheduler> policies only). The solver rejects
-	// almost every carried basis: each residual LP has different rows
-	// from the one before, so the remapped basis names the wrong number
-	// of basic variables (simplex.WarmRejectedBasicCount) and the
-	// re-plan solves cold. Off by default because an accepted warm
-	// solve may land on a different optimal vertex of a degenerate LP,
-	// perturbing the planned order — traces remain valid and
-	// deterministic, but are not bit-identical to cold-solve traces.
+	// WarmLP has no effect. Every epoch re-plan of an LP scheduler
+	// already starts from its residual's greedy vertex; the field stays
+	// so existing callers keep compiling.
 	WarmLP bool
 	// Clairvoyant reveals every coflow to the policy at t=0 while
 	// service still honors release times, turning any policy into its

@@ -279,14 +279,6 @@ const (
 	cancelCheckEvery = 64   // pivots between context-cancellation polls
 )
 
-// crashMinRows gates the slack-crash start: at or above this row count
-// the cold start seats feasible singleton (slack) columns in the basis
-// instead of artificials, which collapses phase 1 on the big
-// interval-indexed LPs (capacity rows are all inequalities). Below it
-// the historical all-artificial start is kept so every committed
-// golden trace and pivot-sequence differential stays byte-identical.
-const crashMinRows = 5000
-
 // Solve minimizes the problem. An error is returned only for malformed
 // input, cancellation or numerical failure; infeasibility, unboundedness
 // and iteration exhaustion are reported through Solution.Status.
@@ -571,8 +563,10 @@ func (s *solver) tryWarmStart() WarmOutcome {
 
 // initBasis places structural variables on their nearest finite bound
 // (or zero for free variables) and installs a starting basis that
-// absorbs the residual: on large problems a slack crash seats feasible
-// singleton columns first, and artificials cover whatever remains.
+// absorbs the residual: a slack crash seats feasible singleton columns
+// first, and artificials cover whatever remains. On the interval LPs,
+// whose capacity rows are all inequalities, the crash leaves phase 1
+// only the rows no slack can cover.
 func (s *solver) initBasis() {
 	for j := 0; j < s.n; j++ {
 		s.inRow[j] = -1
@@ -593,9 +587,7 @@ func (s *solver) initBasis() {
 	for i := 0; i < s.m; i++ {
 		s.basisOf[i] = -1
 	}
-	if s.m >= crashMinRows {
-		s.slackCrash()
-	}
+	s.slackCrash()
 	s.installArtificialBasis()
 }
 

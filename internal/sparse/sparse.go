@@ -12,6 +12,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -79,10 +80,11 @@ func (m *Matrix) Clone() *Matrix {
 // SortColumns sorts row indices within every column in increasing
 // order, keeping values aligned.
 func (m *Matrix) SortColumns() {
+	var col columnSorter // one heap allocation, not one per column
 	for j := 0; j < m.Cols; j++ {
 		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-		col := columnSorter{idx: m.RowIdx[lo:hi], val: m.Val[lo:hi]}
-		sort.Sort(col)
+		col.idx, col.val = m.RowIdx[lo:hi], m.Val[lo:hi]
+		sort.Sort(&col)
 	}
 }
 
@@ -199,6 +201,14 @@ func (b *Builder) Add(i, j int, v float64) {
 	b.is = append(b.is, i)
 	b.js = append(b.js, j)
 	b.vs = append(b.vs, v)
+}
+
+// Grow reserves room for n more triplets, so a caller that knows its
+// entry count fills the builder without reallocating.
+func (b *Builder) Grow(n int) {
+	b.is = slices.Grow(b.is, n)
+	b.js = slices.Grow(b.js, n)
+	b.vs = slices.Grow(b.vs, n)
 }
 
 // Nnz reports the number of accumulated triplets (before duplicate merging).

@@ -123,10 +123,10 @@ type Options struct {
 	CheckEvery int `json:"check_every,omitempty"`
 	// MaxEvents caps the simulator event loop (0 = 1<<20).
 	MaxEvents int `json:"max_events,omitempty"`
-	// WarmLP carries the LP basis of each "epoch:<lp-scheduler>"
-	// re-plan into the next one. Off by default: warm solves may
-	// land on a different optimal vertex of a degenerate LP, so
-	// traces are deterministic but not bit-identical to cold runs.
+	// WarmLP has no effect: every "epoch:<lp-scheduler>" re-plan
+	// already starts from its residual's greedy vertex. It is still
+	// accepted, and still rejected on offline runs, so existing
+	// documents keep their meaning.
 	WarmLP bool `json:"warm_lp,omitempty"`
 	// PathsK is the candidate path count per flow for the multi path
 	// model on generated instances (0 = 3).

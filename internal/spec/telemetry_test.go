@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/simplex"
 )
 
 // stripTelemetry clears the fields that legitimately differ between a
@@ -143,5 +144,42 @@ func TestTelemetrySharedRegistryConcurrent(t *testing.T) {
 	}
 	if snap.Counters[`sim_events_total{kind="arrival"}`] == 0 {
 		t.Errorf("no sim arrivals recorded from the concurrent las runs: %+v", snap.Counters)
+	}
+}
+
+// TestReplanSolvesStartFeasible runs the benchmark's online-replan spec
+// (epoch:stretch on SWAN, 100 coflows, 8-slot cap) and gates on
+// deterministic counters: at least 90% of the re-plan LPs must accept
+// their warm start, the residual's greedy vertex, and a re-plan must
+// average at most 100 simplex pivots. Solves that start from
+// artificials spend most of their pivots in phase 1 and average
+// several hundred.
+func TestReplanSolvesStartFeasible(t *testing.T) {
+	s := Spec{
+		Policy:   "epoch:stretch",
+		Topology: "swan",
+		Workload: &Workload{Coflows: 100, Seed: 1, MeanInterarrival: 4},
+		Options:  Options{MaxSlots: 8, Trials: 1, WarmLP: true, Workers: 1, Seed: 1},
+	}
+	reg := obs.NewRegistry()
+	if _, err := RunWith(context.Background(), s, reg); err != nil {
+		t.Fatal(err)
+	}
+	c := reg.Snapshot().Counters
+	var all int64
+	for o := simplex.WarmAccepted; o <= simplex.WarmRejectedInfeasible; o++ {
+		all += c[`simplex_warm_start_total{outcome="`+o.String()+`"}`]
+	}
+	accepted := c[`simplex_warm_start_total{outcome="accepted"}`]
+	replans, pivots := c["sim_replans_total"], c["simplex_pivots_total"]
+	t.Logf("warm starts accepted %d of %d; %d pivots over %d re-plans", accepted, all, pivots, replans)
+	if replans == 0 {
+		t.Fatal("no re-plans recorded")
+	}
+	if all == 0 || float64(accepted) < 0.9*float64(all) {
+		t.Errorf("warm starts accepted %d of %d, want ≥ 90%%", accepted, all)
+	}
+	if per := float64(pivots) / float64(replans); per > 100 {
+		t.Errorf("%.1f simplex pivots per re-plan, want ≤ 100", per)
 	}
 }
