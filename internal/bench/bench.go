@@ -380,9 +380,10 @@ func schedulerResults(ctx context.Context, cfg Config) ([]Result, error) {
 				}
 			}
 		}},
-		// Resolve-after-perturbation: solve once cold, nudge every
-		// demand by ±1%, and measure the warm re-solve from the exported
-		// basis — the epoch re-plan pattern the warm start exists for.
+		// Resolve-after-perturbation: solve once, nudge every demand by
+		// ±1%, and measure the warm re-solve of the perturbed LP, which
+		// has the same shape, from the exported basis. At the default
+		// seed 6 the basis is accepted and the re-solve makes no pivot.
 		{"lp/warm-start/n=8", func(b *testing.B) {
 			opt := core.Options{Grid: core.DefaultGrid(lpIn, coflow.SinglePath, 24)}
 			base, err := core.SolveLP(ctx, lpIn, coflow.SinglePath, opt)

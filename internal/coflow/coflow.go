@@ -153,15 +153,6 @@ func (in *Instance) MaxRelease() float64 {
 	return m
 }
 
-// TotalWeight sums coflow weights.
-func (in *Instance) TotalWeight() float64 {
-	var s float64
-	for i := range in.Coflows {
-		s += in.Coflows[i].Weight
-	}
-	return s
-}
-
 // Validate checks the instance for structural problems under the given
 // model: positive demands and weights, sources distinct from sinks,
 // valid paths (single path) or reachable sinks (free path).

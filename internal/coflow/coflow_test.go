@@ -123,9 +123,6 @@ func TestInstanceStats(t *testing.T) {
 	if d := in.TotalDemand(); d != 6 {
 		t.Fatalf("TotalDemand = %v, want 6", d)
 	}
-	if w := in.TotalWeight(); w != 4 {
-		t.Fatalf("TotalWeight = %v, want 4", w)
-	}
 	if r := in.MaxRelease(); r != 0 {
 		t.Fatalf("MaxRelease = %v, want 0", r)
 	}

@@ -50,9 +50,10 @@ type Options struct {
 	// GOMAXPROCS).
 	Workers int
 	// WarmBasis, when non-nil, warm-starts the LP solve from a basis
-	// exported by a previous related solve (Result.Basis). The solver
-	// validates the basis and falls back to a cold start when it does
-	// not fit, so the computed optimum is unaffected.
+	// exported by a previous solve (Result.Basis). The basis is
+	// positional, so it fits only an LP of the same shape; the solver
+	// validates it and falls back to a cold start when it does not
+	// fit, so the computed optimum is unaffected.
 	WarmBasis *lp.Basis
 	// Obs, when non-nil, receives pipeline telemetry (simplex counters,
 	// grid retries). Recording is observational only: results are
@@ -201,7 +202,8 @@ type Result struct {
 	Stretch    *StretchStats // nil if trials == 0 or grid non-uniform
 	Iterations int           // simplex iterations for the LP solve
 	// Basis is the LP's exported optimal basis (nil when not
-	// exportable); feed it to Options.WarmBasis on a related instance.
+	// exportable); feed it to Options.WarmBasis for an LP of the same
+	// shape, such as the same instance with perturbed demands.
 	Basis *lp.Basis
 	// WarmStart reports what became of Options.WarmBasis, or of the
 	// single path model's greedy seed when no basis was supplied:

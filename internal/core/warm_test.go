@@ -86,8 +86,9 @@ func TestWarmBasisPerturbedInstance(t *testing.T) {
 
 // TestWarmBasisResidualInstance mimics an epoch re-plan: drop the first
 // coflow (it "finished") and warm-start the residual solve from the
-// full instance's basis. The name-keyed remap keeps the surviving
-// coflows' variables; the answer must match the cold solve.
+// full instance's basis. The residual LP is smaller, so the positional
+// basis does not fit it: the solver must reject it on dimensions and
+// still reach the cold solve's answer.
 func TestWarmBasisResidualInstance(t *testing.T) {
 	in := warmTestInstance(t, 6, 3)
 	opt := Options{Grid: DefaultGrid(in, coflow.SinglePath, 24)}
@@ -115,6 +116,9 @@ func TestWarmBasisResidualInstance(t *testing.T) {
 	}
 	if !lbClose(cold.LowerBound, warm.LowerBound) {
 		t.Fatalf("cold LP bound %v, warm LP bound %v", cold.LowerBound, warm.LowerBound)
+	}
+	if warm.WarmStart != simplex.WarmRejectedDims {
+		t.Fatalf("warm residual solve reports outcome %v, want %v", warm.WarmStart, simplex.WarmRejectedDims)
 	}
 }
 

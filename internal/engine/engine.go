@@ -47,8 +47,10 @@ type Options struct {
 	// schedulers that compact.
 	DisableCompaction bool
 	// WarmBasis warm-starts the LP solve of LP-based schedulers from a
-	// basis exported by a previous related run (Result.Core.Basis).
-	// Non-LP schedulers ignore it; results are unaffected either way.
+	// basis exported by a previous run (Result.Core.Basis). The basis
+	// is positional and fits only an LP of the same shape; the solver
+	// rejects any other. Non-LP schedulers ignore it; results are
+	// unaffected either way.
 	WarmBasis *lp.Basis
 	// Obs, when non-nil, receives scheduling telemetry (per-scheduler
 	// timings plus everything the core pipeline and simplex record).

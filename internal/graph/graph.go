@@ -278,36 +278,6 @@ func (g *Graph) RandomShortestPath(rng *rand.Rand, s, t NodeID) []EdgeID {
 	return path
 }
 
-// CountShortestPaths returns the number of shortest (by hops) s→t
-// paths as a float64 (exact for small counts).
-func (g *Graph) CountShortestPaths(s, t NodeID) float64 {
-	dist := g.bfsDist(s)
-	if dist[t] < 0 {
-		return 0
-	}
-	order := make([]NodeID, 0, g.NumNodes())
-	for v := NodeID(0); v < NodeID(g.NumNodes()); v++ {
-		if dist[v] >= 0 {
-			order = append(order, v)
-		}
-	}
-	sortByDist(order, dist)
-	count := make([]float64, g.NumNodes())
-	count[s] = 1
-	for _, v := range order {
-		if v == s {
-			continue
-		}
-		for _, eid := range g.in[v] {
-			e := g.edges[eid]
-			if dist[e.From] == dist[v]-1 {
-				count[v] += count[e.From]
-			}
-		}
-	}
-	return count[t]
-}
-
 func sortByDist(order []NodeID, dist []int) {
 	// Insertion sort: orders are tiny (#nodes in WAN topologies).
 	for i := 1; i < len(order); i++ {

@@ -230,24 +230,6 @@ func TestGadget(t *testing.T) {
 	}
 }
 
-func TestStarAndRing(t *testing.T) {
-	s := Star(4, 2)
-	if s.NumNodes() != 5 || s.NumEdges() != 8 {
-		t.Fatalf("star shape: %d nodes %d edges", s.NumNodes(), s.NumEdges())
-	}
-	// s0 → s1 goes through the hub: 2 hops.
-	if d := s.HopDistance(s.MustNode("s0"), s.MustNode("s1")); d != 2 {
-		t.Fatalf("star spoke distance = %d, want 2", d)
-	}
-	r := Ring(6, 1)
-	if r.NumNodes() != 6 || r.NumEdges() != 12 {
-		t.Fatalf("ring shape wrong")
-	}
-	if d := r.HopDistance(r.MustNode("v0"), r.MustNode("v3")); d != 3 {
-		t.Fatalf("ring distance = %d, want 3", d)
-	}
-}
-
 func TestRandomShortestPathIsShortestAndValid(t *testing.T) {
 	g := GScale(1)
 	rng := rand.New(rand.NewSource(5))
@@ -277,9 +259,6 @@ func TestRandomShortestPathUniform(t *testing.T) {
 	// sampler should hit each roughly 1/3 of the time.
 	g := Figure2()
 	s, d := g.MustNode("s"), g.MustNode("t")
-	if c := g.CountShortestPaths(s, d); c != 3 {
-		t.Fatalf("CountShortestPaths = %v, want 3", c)
-	}
 	rng := rand.New(rand.NewSource(9))
 	counts := map[NodeID]int{}
 	const trials = 3000
@@ -299,13 +278,10 @@ func TestRandomShortestPathUniform(t *testing.T) {
 	}
 }
 
-func TestCountShortestPathsUnreachable(t *testing.T) {
+func TestRandomShortestPathUnreachable(t *testing.T) {
 	g := Gadget(2)
 	x0, _ := GadgetPair(g, 0)
 	x1, _ := GadgetPair(g, 1)
-	if c := g.CountShortestPaths(x0, x1); c != 0 {
-		t.Fatalf("count = %v, want 0", c)
-	}
 	if p := g.RandomShortestPath(rand.New(rand.NewSource(1)), x0, x1); p != nil {
 		t.Fatal("expected nil path for unreachable pair")
 	}

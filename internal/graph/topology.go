@@ -124,31 +124,3 @@ func Line(n int, capacity float64) *Graph {
 	}
 	return g
 }
-
-// Star returns a hub-and-spoke topology: nodes h and s0..s_{n-1}, with
-// full-duplex links h—s_i of the given capacity. It models the
-// datacenter switch abstraction (every machine connected to a central
-// switch) from the original coflow papers.
-func Star(n int, capacity float64) *Graph {
-	g := New()
-	h := g.AddNode("hub")
-	for i := 0; i < n; i++ {
-		s := g.AddNode(fmt.Sprintf("s%d", i))
-		g.AddLink(h, s, capacity)
-	}
-	return g
-}
-
-// Ring returns a bidirectional ring of n nodes with the given
-// per-direction capacity.
-func Ring(n int, capacity float64) *Graph {
-	g := New()
-	nodes := make([]NodeID, n)
-	for i := range nodes {
-		nodes[i] = g.AddNode(fmt.Sprintf("v%d", i))
-	}
-	for i := 0; i < n; i++ {
-		g.AddLink(nodes[i], nodes[(i+1)%n], capacity)
-	}
-	return g
-}

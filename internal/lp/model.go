@@ -150,9 +150,9 @@ type Solution struct {
 	d       []float64
 	iters   int
 	numVars int
-	// Basis is the name-keyed optimal basis, present when the solve
-	// ended Optimal with an exportable basis. Pass it to SolveWarm on a
-	// related model to skip phase 1.
+	// Basis is the optimal basis, present when the solve ended Optimal
+	// with an exportable basis. Pass it to SolveWarm on a model of the
+	// same shape to skip phase 1.
 	Basis *Basis
 	// WarmStart reports what became of the warm basis passed to
 	// SolveWarm: accepted, or which validation check rejected it.
@@ -180,12 +180,11 @@ func (m *Model) Solve(ctx context.Context, opt simplex.Options) (*Solution, erro
 	return m.SolveWarm(ctx, opt, nil)
 }
 
-// SolveWarm is Solve with an optional warm-start basis from a previous
-// solve of a related model. The basis is remapped by name onto this
-// model's variables and constraints; the solver validates the result
-// and falls back to a cold start when it does not fit, so SolveWarm
-// never returns a worse answer than Solve — only, usually, a faster
-// one.
+// SolveWarm is Solve with an optional warm-start basis, positional over
+// this model's variables and constraints (see Basis). The solver
+// validates it and falls back to a cold start when it does not fit, so
+// SolveWarm never returns a worse answer than Solve — only, usually, a
+// faster one.
 func (m *Model) SolveWarm(ctx context.Context, opt simplex.Options, warm *Basis) (*Solution, error) {
 	n := len(m.varNames)
 	mm := len(m.conNames)
@@ -235,7 +234,7 @@ func (m *Model) SolveWarm(ctx context.Context, opt simplex.Options, warm *Basis)
 		C: c, L: l, U: u,
 	}
 	if warm != nil {
-		opt.WarmStart = m.remapBasis(warm, total)
+		opt.WarmStart = m.standardBasis(warm, total)
 	}
 	raw, err := simplex.Solve(ctx, prob, opt)
 	if err != nil {

@@ -125,6 +125,74 @@ func TestModelAccessors(t *testing.T) {
 	}
 }
 
+// TestSolveWarmPositionalBasis re-solves a model with LE, EQ and GE
+// rows from its own optimal basis, which must install without a pivot,
+// and from bases one entry short, which must be rejected on dimensions
+// without changing the optimum.
+func TestSolveWarmPositionalBasis(t *testing.T) {
+	ctx := context.Background()
+	// min x + 3y + 3z s.t. x + y ≤ 10, x + z = 4, y + z ≥ 3 → x=1, z=3.
+	m := NewModel("warm")
+	x := m.AddVar("x", 0, math.Inf(1), 1)
+	y := m.AddVar("y", 0, math.Inf(1), 3)
+	z := m.AddVar("z", 0, math.Inf(1), 3)
+	le := m.AddConstr("le", LE, 10)
+	m.AddTerm(le, x, 1)
+	m.AddTerm(le, y, 1)
+	eq := m.AddConstr("eq", EQ, 4)
+	m.AddTerm(eq, x, 1)
+	m.AddTerm(eq, z, 1)
+	ge := m.AddConstr("ge", GE, 3)
+	m.AddTerm(ge, y, 1)
+	m.AddTerm(ge, z, 1)
+
+	cold, err := m.Solve(ctx, simplex.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Status != simplex.Optimal || math.Abs(cold.Obj-10) > 1e-9 {
+		t.Fatalf("cold solve: status %v obj %v, want optimal 10", cold.Status, cold.Obj)
+	}
+	b := cold.Basis
+	if b == nil || len(b.Vars) != 3 || len(b.Cons) != 3 {
+		t.Fatalf("exported basis %+v, want 3 variables and 3 constraints", b)
+	}
+
+	// The equality row's entry is ignored: no slack carries it.
+	same := &Basis{Vars: b.Vars, Cons: append([]int8(nil), b.Cons...)}
+	same.Cons[eq] = simplex.VarFree
+	for _, warm := range []*Basis{b, same} {
+		sol, err := m.SolveWarm(ctx, simplex.Options{}, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.WarmStart != simplex.WarmAccepted || sol.Iterations() != 0 {
+			t.Fatalf("own basis: outcome %v after %d iterations, want accepted after 0", sol.WarmStart, sol.Iterations())
+		}
+		if sol.Obj != cold.Obj {
+			t.Fatalf("own basis: obj %v, want %v", sol.Obj, cold.Obj)
+		}
+	}
+
+	for _, short := range []*Basis{
+		{Vars: b.Vars[:2], Cons: b.Cons},
+		{Vars: b.Vars, Cons: b.Cons[:2]},
+	} {
+		sol, err := m.SolveWarm(ctx, simplex.Options{}, short)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.WarmStart != simplex.WarmRejectedDims {
+			t.Fatalf("basis of %d variables and %d constraints: outcome %v, want %v",
+				len(short.Vars), len(short.Cons), sol.WarmStart, simplex.WarmRejectedDims)
+		}
+		if sol.Status != simplex.Optimal || math.Abs(sol.Obj-cold.Obj) > 1e-9 {
+			t.Fatalf("basis of %d variables and %d constraints: status %v obj %v, want optimal %v",
+				len(short.Vars), len(short.Cons), sol.Status, sol.Obj, cold.Obj)
+		}
+	}
+}
+
 func TestModelNoVarsError(t *testing.T) {
 	if _, err := NewModel("empty").Solve(context.Background(), simplex.Options{}); err == nil {
 		t.Fatal("expected error on empty model")

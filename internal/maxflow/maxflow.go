@@ -179,20 +179,3 @@ func MinCut(g *graph.Graph, s, t graph.NodeID) (float64, []graph.EdgeID, []bool)
 	}
 	return value, cut, side
 }
-
-// MinCompletionTime returns the minimum time to ship demand units from
-// s to t when the flow may use the whole (residual) network, i.e.
-// demand divided by the s→t max-flow rate. Returns +Inf when t is
-// unreachable.
-func MinCompletionTime(g *graph.Graph, s, t graph.NodeID, demand float64, caps []float64) float64 {
-	var r Result
-	if caps == nil {
-		r = Max(g, s, t)
-	} else {
-		r = MaxWithCapacities(g, s, t, caps)
-	}
-	if r.Value <= eps {
-		return math.Inf(1)
-	}
-	return demand / r.Value
-}

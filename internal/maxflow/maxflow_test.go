@@ -63,9 +63,6 @@ func TestMaxFlowUnreachable(t *testing.T) {
 	if r.Value != 0 {
 		t.Fatalf("value = %v, want 0", r.Value)
 	}
-	if mt := MinCompletionTime(g, x0, y1, 5, nil); !math.IsInf(mt, 1) {
-		t.Fatalf("completion time = %v, want +Inf", mt)
-	}
 }
 
 func TestFlowConservation(t *testing.T) {
@@ -155,17 +152,6 @@ func TestMaxWithCapacitiesOverride(t *testing.T) {
 	r = MaxWithCapacities(g, g.MustNode("v0"), g.MustNode("v2"), caps)
 	if r.Value != 0 {
 		t.Fatalf("value = %v, want 0", r.Value)
-	}
-}
-
-func TestMinCompletionTime(t *testing.T) {
-	g := graph.Figure1()
-	ny, ba := g.MustNode("NY"), g.MustNode("BA")
-	// NY→BA free-path max flow: direct 6 + via FL min(5,4)=4 ... plus
-	// longer detours; at least 9 as used in the paper's example.
-	mt := MinCompletionTime(g, ny, ba, 18, nil)
-	if mt > 2+1e-9 {
-		t.Fatalf("NY→BA completion for 18 units = %v, want ≤ 2", mt)
 	}
 }
 

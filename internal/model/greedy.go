@@ -1,8 +1,6 @@
 package model
 
 import (
-	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/coflow"
@@ -75,11 +73,11 @@ func (l *LP) GreedyBasis() *lp.Basis {
 	for f := range ta {
 		ta[f], tb[f] = -1, -1
 	}
-	// claims[(e,t)] = the flow whose shipment saturated edge e in slot
+	// A claim records the flow whose shipment saturated edge e in slot
 	// t mid-flight; that flow's x_f(t) is basic on the capacity row and
 	// the row's slack pinned at zero.
-	type edgeSlot struct{ e, t int }
-	claims := make(map[edgeSlot]int)
+	type claim struct{ e, t, f int }
+	var claims []claim
 
 	for t := 0; t < k; t++ {
 		for _, j := range order {
@@ -114,7 +112,7 @@ func (l *LP) GreedyBasis() *lp.Basis {
 					// capacity was already zero, so a would have been 0).
 					for _, e := range fl.Path {
 						if rem[e][t] == 0 {
-							claims[edgeSlot{int(e), t}] = f
+							claims = append(claims, claim{int(e), t, f})
 							break
 						}
 					}
@@ -131,11 +129,20 @@ func (l *LP) GreedyBasis() *lp.Basis {
 		}
 	}
 
+	// Slacks start basic on the LE rows and tight on the GE completion
+	// rows (C_j basic there); the binding indicator rows and the
+	// claimed capacity rows are pinned below.
 	b := &lp.Basis{
-		Vars: make(map[string]int8, l.Model.NumVars()),
-		Cons: make(map[string]int8, l.Model.NumConstrs()),
+		Vars: make([]int8, l.Model.NumVars()),
+		Cons: make([]int8, l.Model.NumConstrs()),
 	}
-	name := l.Model.VarName
+	for c := range b.Cons {
+		if l.Model.ConstrSense(lp.ConstrID(c)) == lp.GE {
+			b.Cons[c] = simplex.VarUpper
+		} else {
+			b.Cons[c] = simplex.VarBasic
+		}
+	}
 
 	// Flow variables: x basic on every recurrence row outside the
 	// shipping window (value 0) and on the completion slot; y basic —
@@ -153,8 +160,8 @@ func (l *LP) GreedyBasis() *lp.Basis {
 					xs = simplex.VarLower
 				}
 			}
-			b.Vars[name(l.x[f][t])] = xs
-			b.Vars[name(l.y[f][t])] = ys
+			b.Vars[l.x[f][t]] = xs
+			b.Vars[l.y[f][t]] = ys
 		}
 	}
 
@@ -193,53 +200,22 @@ func (l *LP) GreedyBasis() *lp.Basis {
 			}
 			switch {
 			case mn <= 0:
-				b.Vars[name(l.xj[j][t])] = simplex.VarLower
+				b.Vars[l.xj[j][t]] = simplex.VarLower
 			case mn >= 1:
-				b.Vars[name(l.xj[j][t])] = simplex.VarUpper
+				b.Vars[l.xj[j][t]] = simplex.VarUpper
 			default:
-				b.Vars[name(l.xj[j][t])] = simplex.VarBasic
+				b.Vars[l.xj[j][t]] = simplex.VarBasic
 				// The binding indicator row X_j(t) ≤ y_f(t) is tight.
-				b.Cons[fmt.Sprintf("ind_c%d_f%d_t%d", j, argmin, t)] = simplex.VarLower
+				b.Cons[l.indRow[argmin][t]] = simplex.VarLower
 			}
 		}
-		b.Vars[name(l.cj[j])] = simplex.VarBasic
+		b.Vars[l.cj[j]] = simplex.VarBasic
 	}
 
-	// Slacks: basic everywhere except the claimed capacity rows (tight,
-	// their claimer basic instead), the binding indicator rows set
-	// above, and the GE completion rows (tight, C_j basic there).
-	for c := 0; c < l.Model.NumConstrs(); c++ {
-		cid := lp.ConstrID(c)
-		nm := l.Model.ConstrName(cid)
-		if _, ok := b.Cons[nm]; ok {
-			continue
-		}
-		switch l.Model.ConstrSense(cid) {
-		case lp.EQ:
-		case lp.GE:
-			b.Cons[nm] = simplex.VarUpper
-		default:
-			b.Cons[nm] = simplex.VarBasic
-		}
-	}
-	// Claimed rows in sorted (edge, slot) order: the basis maps are
-	// name-keyed so the order cannot change the result, but iterating a
-	// map here would trip the detrange determinism gate — and sorted
-	// iteration keeps any future side effects reproducible for free.
-	slots := make([]edgeSlot, 0, len(claims))
-	for es := range claims {
-		slots = append(slots, es)
-	}
-	slices.SortStableFunc(slots, func(p, q edgeSlot) int {
-		if p.e != q.e {
-			return p.e - q.e
-		}
-		return p.t - q.t
-	})
-	for _, es := range slots {
-		f := claims[es]
-		b.Cons[fmt.Sprintf("cap_e%d_t%d", es.e, es.t)] = simplex.VarLower
-		b.Vars[name(l.x[f][es.t])] = simplex.VarBasic
+	// Claimed capacity rows: tight, their claimer basic instead.
+	for _, c := range claims {
+		b.Cons[l.capRow[c.e][c.t]] = simplex.VarLower
+		b.Vars[l.x[c.f][c.t]] = simplex.VarBasic
 	}
 	return b
 }

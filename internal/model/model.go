@@ -53,6 +53,9 @@ type LP struct {
 	xp [][][]lp.VarID // multi path: [flat][slot][pathIdx], nil below first
 	xj [][]lp.VarID   // X_j: [coflow][slot], -1 where fixed to 0
 	cj []lp.VarID     // C_j per coflow
+
+	indRow [][]lp.ConstrID // X_j(t) ≤ y_f(t) rows: [flat][slot], -1 where absent
+	capRow [][]lp.ConstrID // capacity rows, single and multi path: [edge][slot], -1 where absent
 }
 
 // Flows returns the flat flow ordering used by x/frac indexing.
@@ -80,8 +83,10 @@ type Solution struct {
 	PathFrac [][][]float64
 	// Iterations is the simplex iteration count.
 	Iterations int
-	// Basis is the name-keyed optimal basis for warm-starting the next
-	// solve of a related relaxation (nil when not exportable).
+	// Basis is the optimal basis, positional over this relaxation's
+	// variables and rows (nil when not exportable). It warm-starts a
+	// later solve of a relaxation of the same shape; the solver rejects
+	// it on any other.
 	Basis *lp.Basis
 	// WarmStart reports what became of the warm basis handed to
 	// SolveWarm, or of the greedy seed when none was (accepted, or the
@@ -100,29 +105,44 @@ func BuildSinglePath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := l.Model
-	g := inst.Graph
 	k := grid.NumSlots()
 
 	// Capacity rows (6)/(19): one per (edge, slot) with any traffic.
-	type rowKey struct{ e, k int }
-	rows := make(map[rowKey]lp.ConstrID)
+	l.capRow = rowTable(inst.Graph.NumEdges(), k)
 	for f, ref := range l.flows {
 		fl := inst.FlowAt(ref)
 		for _, eid := range fl.Path {
 			for t := l.first[f]; t < k; t++ {
-				key := rowKey{int(eid), t}
-				row, ok := rows[key]
-				if !ok {
-					cap := g.Edge(eid).Capacity * grid.Len(t)
-					row = m.AddConstr(fmt.Sprintf("cap_e%d_t%d", eid, t), lp.LE, cap)
-					rows[key] = row
-				}
-				m.AddTerm(row, l.x[f][t], fl.Demand)
+				l.Model.AddTerm(l.capacityRow(eid, t), l.x[f][t], fl.Demand)
 			}
 		}
 	}
 	return l, nil
+}
+
+// capacityRow returns the capacity row of edge e in slot t, adding it
+// on first use.
+func (l *LP) capacityRow(e graph.EdgeID, t int) lp.ConstrID {
+	row := l.capRow[e][t]
+	if row < 0 {
+		cap := l.Inst.Graph.Edge(e).Capacity * l.Grid.Len(t)
+		row = l.Model.AddConstr(fmt.Sprintf("cap_e%d_t%d", e, t), lp.LE, cap)
+		l.capRow[e][t] = row
+	}
+	return row
+}
+
+// rowTable returns an n×k table of constraint ids, every entry -1.
+func rowTable(n, k int) [][]lp.ConstrID {
+	ids := make([]lp.ConstrID, n*k)
+	for i := range ids {
+		ids[i] = -1
+	}
+	table := make([][]lp.ConstrID, n)
+	for i := range table {
+		table[i] = ids[i*k : (i+1)*k : (i+1)*k]
+	}
+	return table
 }
 
 // BuildFreePath constructs the Section 3.1.2 relaxation: per-edge flow
@@ -268,6 +288,7 @@ func buildCommon(inst *coflow.Instance, grid timegrid.Grid, mode coflow.Model) (
 	nc := len(inst.Coflows)
 	l.xj = make([][]lp.VarID, nc)
 	l.cj = make([]lp.VarID, nc)
+	l.indRow = rowTable(len(l.flows), k)
 	flowsOf := make([][]int, nc)
 	for f, ref := range l.flows {
 		flowsOf[ref.Coflow] = append(flowsOf[ref.Coflow], f)
@@ -288,6 +309,7 @@ func buildCommon(inst *coflow.Instance, grid timegrid.Grid, mode coflow.Model) (
 			l.xj[j][t] = xjv
 			for _, f := range flowsOf[j] {
 				row := m.AddConstr(fmt.Sprintf("ind_c%d_f%d_t%d", j, f, t), lp.LE, 0)
+				l.indRow[f][t] = row
 				m.AddTerm(row, xjv, 1)
 				m.AddTerm(row, yVar[f][t], -1)
 			}

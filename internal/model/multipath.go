@@ -29,12 +29,10 @@ func BuildMultiPath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 		return nil, err
 	}
 	m := l.Model
-	g := inst.Graph
 	k := grid.NumSlots()
 
 	l.xp = make([][][]lp.VarID, len(l.flows))
-	type rowKey struct{ e, k int }
-	capRows := make(map[rowKey]lp.ConstrID)
+	l.capRow = rowTable(inst.Graph.NumEdges(), k)
 	for f, ref := range l.flows {
 		fl := inst.FlowAt(ref)
 		l.xp[f] = make([][]lp.VarID, k)
@@ -46,14 +44,7 @@ func BuildMultiPath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 				pv[pi] = m.AddVar(fmt.Sprintf("xp_f%d_t%d_p%d", f, t, pi), 0, 1, 0)
 				m.AddTerm(link, pv[pi], 1)
 				for _, eid := range path {
-					key := rowKey{int(eid), t}
-					row, ok := capRows[key]
-					if !ok {
-						cap := g.Edge(eid).Capacity * grid.Len(t)
-						row = m.AddConstr(fmt.Sprintf("cap_e%d_t%d", eid, t), lp.LE, cap)
-						capRows[key] = row
-					}
-					m.AddTerm(row, pv[pi], fl.Demand)
+					m.AddTerm(l.capacityRow(eid, t), pv[pi], fl.Demand)
 				}
 			}
 			l.xp[f][t] = pv

@@ -104,14 +104,6 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 	return out, nil
 }
 
-// ForEach is Map for side-effecting work with no result value.
-func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
-	_, err := Map(ctx, n, workers, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
 // Stream runs fn(i) for every i in [0, n) on at most `workers`
 // goroutines and calls yield with each (index, result) pair as it
 // completes — in completion order, not index order — always from the

@@ -58,19 +58,6 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-func TestForEachRunsAll(t *testing.T) {
-	var n atomic.Int64
-	if err := ForEach(context.Background(), 32, 5, func(i int) error {
-		n.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 32 {
-		t.Fatalf("ran %d of 32", n.Load())
-	}
-}
-
 func TestSize(t *testing.T) {
 	if s := Size(0, 100); s < 1 {
 		t.Fatalf("Size(0,100) = %d", s)

@@ -164,16 +164,6 @@ func (s *Schedule) WeightedCompletion() float64 {
 	return sum
 }
 
-// TotalCompletion returns Σ_j C_j (the unweighted objective used in
-// the Terra comparison, Figures 11–12).
-func (s *Schedule) TotalCompletion() float64 {
-	var sum float64
-	for _, c := range s.CompletionTimes() {
-		sum += c
-	}
-	return sum
-}
-
 // Makespan returns the end of the last active slot, or 0 for an empty
 // schedule.
 func (s *Schedule) Makespan() float64 {

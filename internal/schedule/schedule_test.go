@@ -402,15 +402,3 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal("clone shares EdgeFrac")
 	}
 }
-
-func TestTotalCompletionUnweighted(t *testing.T) {
-	s := FromLP(figure2LP(t, coflow.SinglePath, 6))
-	ct := s.CompletionTimes()
-	var want float64
-	for _, c := range ct {
-		want += c
-	}
-	if got := s.TotalCompletion(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("TotalCompletion = %v, want %v", got, want)
-	}
-}

@@ -37,6 +37,7 @@ type epochAdapter struct {
 	sched   string
 	opt     Options
 	order   []int // cached priority order, original coflow indices
+	res     residualBuffers
 	replans int
 }
 
@@ -69,12 +70,13 @@ func (p *epochAdapter) Allocate(ctx context.Context, st *State, out *Alloc) erro
 }
 
 // replan runs the wrapped scheduler offline on the residual instance
-// and caches the induced priority order. Each replan derives its own
-// seed from (Options.Seed, replan index): replans happen in the same
-// order in every run, so traces reproduce exactly, and randomized
-// schedulers still see fresh randomness per plan.
+// and caches the induced priority order; the result is read only here,
+// so the residual's buffers are free for the next replan. Each replan
+// derives its own seed from (Options.Seed, replan index): replans
+// happen in the same order in every run, so traces reproduce exactly,
+// and randomized schedulers still see fresh randomness per plan.
 func (p *epochAdapter) replan(ctx context.Context, st *State) error {
-	sub, back := ResidualInstance(st)
+	sub, back := p.res.build(st)
 	if len(sub.Coflows) == 0 {
 		p.order = []int{}
 		return nil

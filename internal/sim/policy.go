@@ -630,16 +630,14 @@ func (p *fairPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
 // backlog's growth forces.
 type sincroniaOnline struct {
 	order   []int // cached priority order, original coflow indices
-	sub     coflow.Instance
-	back    []int
-	flows   []coflow.Flow // backing for all sub-instance flow slices
+	res     residualBuffers
 	scratch baselines.SincroniaScratch
 }
 
 func (*sincroniaOnline) Name() string { return NameSincroniaOnline }
 func (p *sincroniaOnline) Allocate(_ context.Context, st *State, out *Alloc) error {
 	if st.Replan || p.order == nil {
-		sub, back := p.residual(st)
+		sub, back := p.res.build(st)
 		if len(sub.Coflows) == 0 {
 			p.order = p.order[:0]
 			if p.order == nil {
@@ -659,12 +657,26 @@ func (p *sincroniaOnline) Allocate(_ context.Context, st *State, out *Alloc) err
 	return nil
 }
 
-// residual is ResidualInstance into the policy's reusable buffers: a
-// first pass counts the surviving flows so the shared backing array
-// never reallocates mid-build (sub-instance coflows hold sub-slices
-// of it), then the second pass fills it. Values are identical to
-// ResidualInstance's.
-func (p *sincroniaOnline) residual(st *State) (*coflow.Instance, []int) {
+// residualBuffers builds the offline sub-instance a planner sees at
+// st.Now: one coflow per active coflow, holding only its unfinished
+// flows with demands set to the residual volume and releases
+// re-expressed relative to now (0 for anything already available).
+// Keeping the relative future releases matters in clairvoyant mode,
+// where not-yet-released coflows are revealed early: a
+// full-information planner must know *when* they become serviceable,
+// not pretend they are available immediately. Every build reuses the
+// same buffers, so a built instance is valid only until the next one.
+type residualBuffers struct {
+	sub   coflow.Instance
+	back  []int
+	flows []coflow.Flow // backing for all sub-instance flow slices
+}
+
+// build returns the residual instance and, per sub-instance coflow,
+// its index in st.Inst. A first pass counts the surviving flows so the
+// shared backing array never reallocates mid-build (sub-instance
+// coflows hold sub-slices of it), then the second pass fills it.
+func (r *residualBuffers) build(st *State) (*coflow.Instance, []int) {
 	total := 0
 	for _, j := range st.Active {
 		for _, rem := range st.Remaining[j] {
@@ -673,16 +685,16 @@ func (p *sincroniaOnline) residual(st *State) (*coflow.Instance, []int) {
 			}
 		}
 	}
-	if cap(p.flows) < total {
-		p.flows = make([]coflow.Flow, 0, total+total/2)
+	if cap(r.flows) < total {
+		r.flows = make([]coflow.Flow, 0, total+total/2)
 	}
-	p.flows = p.flows[:0]
-	p.sub.Graph = st.Inst.Graph
-	p.sub.Coflows = p.sub.Coflows[:0]
-	p.back = p.back[:0]
+	r.flows = r.flows[:0]
+	r.sub.Graph = st.Inst.Graph
+	r.sub.Coflows = r.sub.Coflows[:0]
+	r.back = r.back[:0]
 	for _, j := range st.Active {
 		c := &st.Inst.Coflows[j]
-		start := len(p.flows)
+		start := len(r.flows)
 		for i, fl := range c.Flows {
 			if st.Remaining[j][i] <= eps {
 				continue
@@ -690,52 +702,16 @@ func (p *sincroniaOnline) residual(st *State) (*coflow.Instance, []int) {
 			nf := fl
 			nf.Demand = st.Remaining[j][i]
 			nf.Release = math.Max(0, st.effRel[j][i]-st.Now)
-			p.flows = append(p.flows, nf)
+			r.flows = append(r.flows, nf)
 		}
-		if len(p.flows) == start {
+		if len(r.flows) == start {
 			continue
 		}
-		p.sub.Coflows = append(p.sub.Coflows, coflow.Coflow{
+		r.sub.Coflows = append(r.sub.Coflows, coflow.Coflow{
 			ID: c.ID, Weight: c.Weight, Release: math.Max(0, c.Release-st.Now),
-			Flows: p.flows[start:len(p.flows):len(p.flows)],
+			Flows: r.flows[start:len(r.flows):len(r.flows)],
 		})
-		p.back = append(p.back, j)
+		r.back = append(r.back, j)
 	}
-	return &p.sub, p.back
-}
-
-// ResidualInstance builds the offline sub-instance a planner sees at
-// st.Now: one coflow per active coflow, holding only its unfinished
-// flows with demands set to the residual volume and releases
-// re-expressed relative to now (0 for anything already available).
-// Keeping the relative future releases matters in clairvoyant mode,
-// where not-yet-released coflows are revealed early: a full-information
-// planner must know *when* they become serviceable, not pretend they
-// are available immediately. The second return maps sub-instance
-// coflow indices back to indices in st.Inst.
-func ResidualInstance(st *State) (*coflow.Instance, []int) {
-	sub := &coflow.Instance{
-		Graph:   st.Inst.Graph,
-		Coflows: make([]coflow.Coflow, 0, len(st.Active)),
-	}
-	back := make([]int, 0, len(st.Active))
-	for _, j := range st.Active {
-		c := &st.Inst.Coflows[j]
-		nc := coflow.Coflow{ID: c.ID, Weight: c.Weight, Release: math.Max(0, c.Release-st.Now)}
-		nc.Flows = make([]coflow.Flow, 0, len(c.Flows))
-		for i, fl := range c.Flows {
-			if st.Remaining[j][i] <= eps {
-				continue
-			}
-			nf := fl
-			nf.Demand = st.Remaining[j][i]
-			nf.Release = math.Max(0, st.effRel[j][i]-st.Now)
-			nc.Flows = append(nc.Flows, nf)
-		}
-		if len(nc.Flows) > 0 {
-			sub.Coflows = append(sub.Coflows, nc)
-			back = append(back, j)
-		}
-	}
-	return sub, back
+	return &r.sub, r.back
 }

@@ -1,12 +1,11 @@
 // Package sparse provides the sparse linear-algebra primitives used by
-// the LP solver substrate: compressed sparse column (CSC) matrices,
-// sparse vectors with index lists, and the scatter/gather kernels that
-// the LU factorization and the revised simplex method are built on.
+// the LP solver substrate: compressed sparse column (CSC) matrices
+// assembled from triplets, and the column access and matrix–vector
+// kernels that the LU factorization and the revised simplex method are
+// built on.
 //
 // The package is deliberately minimal: it implements exactly what a
-// bounded-variable revised simplex with a Gilbert–Peierls LU needs,
-// with dense work arrays reused across calls to avoid allocation in
-// inner loops.
+// bounded-variable revised simplex with a Gilbert–Peierls LU needs.
 package sparse
 
 import (
@@ -25,18 +24,6 @@ type Matrix struct {
 	ColPtr     []int     // length Cols+1
 	RowIdx     []int     // length nnz
 	Val        []float64 // length nnz
-}
-
-// NewMatrix returns an empty rows×cols matrix with capacity for nnz
-// nonzeros.
-func NewMatrix(rows, cols, nnz int) *Matrix {
-	return &Matrix{
-		Rows:   rows,
-		Cols:   cols,
-		ColPtr: make([]int, cols+1),
-		RowIdx: make([]int, 0, nnz),
-		Val:    make([]float64, 0, nnz),
-	}
 }
 
 // Nnz reports the number of stored entries.
@@ -264,87 +251,6 @@ func (b *Builder) Build() *Matrix {
 	m.RowIdx = m.RowIdx[:writePtr]
 	m.Val = m.Val[:writePtr]
 	return m
-}
-
-// Vector is a sparse vector with an explicit nonzero index list and a
-// dense value backing array. The dense array makes scatter/gather O(1)
-// per touched entry; the index list keeps iteration proportional to
-// the number of nonzeros. The same Vector can be reused across solves.
-type Vector struct {
-	N   int
-	Ind []int     // indices with (possibly) nonzero values, unordered
-	Val []float64 // dense backing array, length N
-	tag []bool    // membership mask aligned with Val
-}
-
-// NewVector returns a zero sparse vector of dimension n.
-func NewVector(n int) *Vector {
-	return &Vector{N: n, Val: make([]float64, n), tag: make([]bool, n)}
-}
-
-// Reset clears the vector to zero in O(nnz).
-func (v *Vector) Reset() {
-	for _, i := range v.Ind {
-		v.Val[i] = 0
-		v.tag[i] = false
-	}
-	v.Ind = v.Ind[:0]
-}
-
-// Set assigns v[i] = x, tracking i as a nonzero position.
-func (v *Vector) Set(i int, x float64) {
-	if !v.tag[i] {
-		v.tag[i] = true
-		v.Ind = append(v.Ind, i)
-	}
-	v.Val[i] = x
-}
-
-// Add performs v[i] += x, tracking i as a nonzero position.
-func (v *Vector) Add(i int, x float64) {
-	if !v.tag[i] {
-		v.tag[i] = true
-		v.Ind = append(v.Ind, i)
-	}
-	v.Val[i] += x
-}
-
-// Nnz reports the number of tracked positions (some may hold exact zeros).
-func (v *Vector) Nnz() int { return len(v.Ind) }
-
-// Gather copies the tracked entries into the dense slice out (length N).
-func (v *Vector) Gather(out []float64) {
-	for i := range out {
-		out[i] = 0
-	}
-	for _, i := range v.Ind {
-		out[i] = v.Val[i]
-	}
-}
-
-// Drop removes tracked positions whose magnitude is below tol,
-// zeroing them. It keeps the vector numerically tidy after solves.
-func (v *Vector) Drop(tol float64) {
-	w := 0
-	for _, i := range v.Ind {
-		if math.Abs(v.Val[i]) <= tol {
-			v.Val[i] = 0
-			v.tag[i] = false
-			continue
-		}
-		v.Ind[w] = i
-		w++
-	}
-	v.Ind = v.Ind[:w]
-}
-
-// Norm2 returns the Euclidean norm of the vector.
-func (v *Vector) Norm2() float64 {
-	var s float64
-	for _, i := range v.Ind {
-		s += v.Val[i] * v.Val[i]
-	}
-	return math.Sqrt(s)
 }
 
 // Identity returns the n×n identity matrix in CSC form.

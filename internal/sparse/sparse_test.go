@@ -202,61 +202,6 @@ func TestIdentity(t *testing.T) {
 	}
 }
 
-func TestVectorSetAddReset(t *testing.T) {
-	v := NewVector(5)
-	v.Set(2, 1.5)
-	v.Add(2, 0.5)
-	v.Add(4, -1)
-	if v.Nnz() != 2 {
-		t.Fatalf("nnz = %d, want 2", v.Nnz())
-	}
-	if v.Val[2] != 2.0 || v.Val[4] != -1 {
-		t.Fatalf("values wrong: %v", v.Val)
-	}
-	out := make([]float64, 5)
-	v.Gather(out)
-	if out[2] != 2.0 || out[4] != -1 || out[0] != 0 {
-		t.Fatalf("gather wrong: %v", out)
-	}
-	v.Reset()
-	if v.Nnz() != 0 || v.Val[2] != 0 || v.Val[4] != 0 {
-		t.Fatalf("reset did not clear: %+v", v)
-	}
-	// Reuse after reset must work.
-	v.Set(0, 3)
-	if v.Nnz() != 1 || v.Val[0] != 3 {
-		t.Fatalf("reuse after reset failed")
-	}
-}
-
-func TestVectorDrop(t *testing.T) {
-	v := NewVector(4)
-	v.Set(0, 1e-14)
-	v.Set(1, 1)
-	v.Set(3, -2)
-	v.Drop(1e-12)
-	if v.Nnz() != 2 {
-		t.Fatalf("nnz after drop = %d, want 2", v.Nnz())
-	}
-	if v.Val[0] != 0 {
-		t.Fatal("dropped value not zeroed")
-	}
-	// Index 0 must be re-addable.
-	v.Set(0, 7)
-	if v.Val[0] != 7 || v.Nnz() != 3 {
-		t.Fatal("re-add after drop failed")
-	}
-}
-
-func TestVectorNorm2(t *testing.T) {
-	v := NewVector(3)
-	v.Set(0, 3)
-	v.Set(2, 4)
-	if got := v.Norm2(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("Norm2 = %v, want 5", got)
-	}
-}
-
 func TestInfNorm(t *testing.T) {
 	if got := InfNorm([]float64{1, -7, 3}); got != 7 {
 		t.Fatalf("InfNorm = %v, want 7", got)

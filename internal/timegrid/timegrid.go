@@ -76,26 +76,6 @@ func (g Grid) IsUniform() bool {
 	return true
 }
 
-// SlotOf returns the slot containing time t (with slot k covering
-// (Start(k), End(k)], and t=0 mapping to slot 0). Times beyond the
-// horizon map to the last slot.
-func (g Grid) SlotOf(t float64) int {
-	if t <= g.bounds[1] {
-		return 0
-	}
-	// Binary search for the first bound ≥ t.
-	lo, hi := 1, len(g.bounds)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.bounds[mid] >= t {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo - 1
-}
-
 // FirstUsableSlot returns the first slot whose start is at or after
 // the release time r: releases are snapped up to slot boundaries so
 // schedules derived from the LP never transmit before release (the

@@ -70,21 +70,6 @@ func TestGeometricPanics(t *testing.T) {
 	Geometric(10, 0)
 }
 
-func TestSlotOf(t *testing.T) {
-	g := Uniform(4)
-	cases := []struct {
-		t    float64
-		want int
-	}{
-		{0, 0}, {0.5, 0}, {1, 0}, {1.0001, 1}, {2, 1}, {3.5, 3}, {4, 3}, {99, 3},
-	}
-	for _, c := range cases {
-		if got := g.SlotOf(c.t); got != c.want {
-			t.Errorf("SlotOf(%v) = %d, want %d", c.t, got, c.want)
-		}
-	}
-}
-
 func TestFirstUsableSlot(t *testing.T) {
 	g := Uniform(4)
 	cases := []struct {
@@ -112,7 +97,7 @@ func TestFirstUsableSlot(t *testing.T) {
 	}
 }
 
-func TestSlotOfConsistentWithBoundsProperty(t *testing.T) {
+func TestFirstUsableSlotProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -123,17 +108,6 @@ func TestSlotOfConsistentWithBoundsProperty(t *testing.T) {
 			g = Geometric(1+r.Float64()*1000, 0.05+r.Float64())
 		}
 		tt := r.Float64() * g.Horizon()
-		k := g.SlotOf(tt)
-		if k < 0 || k >= g.NumSlots() {
-			return false
-		}
-		// t must lie in (Start, End] (except t ≤ first bound → slot 0).
-		if tt > g.End(k)+1e-12 {
-			return false
-		}
-		if k > 0 && tt <= g.Start(k)-1e-12 {
-			return false
-		}
 		// FirstUsableSlot never returns a slot starting before r.
 		fu := g.FirstUsableSlot(tt)
 		if fu < g.NumSlots() && g.Start(fu) < tt-1e-12 {
