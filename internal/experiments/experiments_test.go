@@ -85,47 +85,6 @@ func TestFigure9Small(t *testing.T) {
 	}
 }
 
-// TestParallelFigureMatchesSerial pins down the concurrency contract
-// of the experiment harnesses: fanning workloads and Stretch trials
-// out over many workers must reproduce the serial tables exactly.
-// Running it under -race also exercises the parallel path for data
-// races (see .github/workflows/ci.yml).
-func TestParallelFigureMatchesSerial(t *testing.T) {
-	for _, fig := range []struct {
-		name string
-		fn   func(context.Context, Config) (*FigureResult, error)
-	}{{"figure6", Figure6}, {"figure8", Figure8}, {"figure11", Figure11}} {
-		t.Run(fig.name, func(t *testing.T) {
-			serial := Small()
-			serial.Workers = 1
-			want, err := fig.fn(context.Background(), serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par := Small()
-			par.Workers = 4
-			par.Logf = t.Logf // exercise concurrent logging too
-			got, err := fig.fn(context.Background(), par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Rows) != len(want.Rows) {
-				t.Fatalf("row count %d != %d", len(got.Rows), len(want.Rows))
-			}
-			for i, row := range got.Rows {
-				if row.Label != want.Rows[i].Label {
-					t.Fatalf("row %d label %q != %q", i, row.Label, want.Rows[i].Label)
-				}
-				for s, v := range row.Values {
-					if v != want.Rows[i].Values[s] {
-						t.Fatalf("%s %s: %v != %v (serial)", row.Label, s, v, want.Rows[i].Values[s])
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestFigure11Small(t *testing.T) {
 	r, err := Figure11(context.Background(), Small())
 	if err != nil {

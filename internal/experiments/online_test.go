@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -39,23 +38,6 @@ func TestFigureO1Shape(t *testing.T) {
 				t.Fatalf("row %q policy %q: slowdown %v implausibly small", row.Label, p, row.Values[p])
 			}
 		}
-	}
-}
-
-func TestFigureO1DeterministicAcrossWorkers(t *testing.T) {
-	c := Small()
-	c.Workers = 1
-	a, err := FigureO1(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Workers = 6
-	b, err := FigureO1(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Figure O1 differs across worker counts")
 	}
 }
 

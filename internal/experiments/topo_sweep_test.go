@@ -41,17 +41,3 @@ func TestFigureT1Small(t *testing.T) {
 		}
 	}
 }
-
-func TestFigureT1DeterministicAcrossWorkers(t *testing.T) {
-	a, err := FigureT1(context.Background(), t1Config(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FigureT1(context.Background(), t1Config(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Figure T1 differs across worker counts")
-	}
-}

@@ -100,9 +100,6 @@ func (m *Model) AddVar(name string, lb, ub, obj float64) VarID {
 	return VarID(len(m.varNames) - 1)
 }
 
-// SetObj overwrites the objective coefficient of v.
-func (m *Model) SetObj(v VarID, obj float64) { m.obj[v] = obj }
-
 // Obj returns the objective coefficient of v.
 func (m *Model) Obj(v VarID) float64 { return m.obj[v] }
 

@@ -109,10 +109,6 @@ func TestModelAccessors(t *testing.T) {
 	if l, u := m.Bounds(v); l != 1 || u != 2 {
 		t.Fatal("bounds wrong")
 	}
-	m.SetObj(v, 6)
-	if m.Obj(v) != 6 {
-		t.Fatal("SetObj failed")
-	}
 	c := m.AddConstr("row", EQ, 1)
 	if m.ConstrName(c) != "row" {
 		t.Fatal("ConstrName wrong")

@@ -61,9 +61,6 @@ type LP struct {
 // Flows returns the flat flow ordering used by x/frac indexing.
 func (l *LP) Flows() []coflow.FlowRef { return l.flows }
 
-// FirstSlot returns the first usable slot of flat flow f.
-func (l *LP) FirstSlot(f int) int { return l.first[f] }
-
 // Solution is a solved relaxation: the LP lower bound and the
 // fractional schedule.
 type Solution struct {

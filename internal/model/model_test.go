@@ -348,7 +348,4 @@ func TestFirstSlotAccessors(t *testing.T) {
 	if len(l.Flows()) != 1 {
 		t.Fatalf("Flows() len %d", len(l.Flows()))
 	}
-	if l.FirstSlot(0) != 2 {
-		t.Fatalf("FirstSlot = %d, want 2", l.FirstSlot(0))
-	}
 }

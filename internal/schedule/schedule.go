@@ -27,7 +27,12 @@ import (
 	"repro/internal/timegrid"
 )
 
-const eps = 1e-7
+// Eps is the schedule's tolerance on fractions, and with it the
+// definition of a transmission: a flow transmits in a slot exactly when
+// its fraction there exceeds Eps. Completion times, releases, Stretch
+// truncation and compaction all use that definition, and the validity
+// oracle (internal/validate) replays schedules with it too.
+const Eps = 1e-7
 
 // Schedule is a slotted transmission plan. Frac[f][k] is the fraction
 // of flat flow f transmitted during slot k; in the free path model
@@ -107,7 +112,8 @@ func (s *Schedule) Clone() *Schedule {
 
 // FlowCompletionTimes returns, per flat flow, the end of the last
 // slot in which the flow transmits, or +Inf for a flow whose demand is
-// not fully scheduled.
+// not fully scheduled. It is the one place that decides the slot a
+// flow completes in.
 func (s *Schedule) FlowCompletionTimes() []float64 {
 	out := make([]float64, len(s.Flows))
 	for f := range s.Flows {
@@ -115,7 +121,7 @@ func (s *Schedule) FlowCompletionTimes() []float64 {
 		last := -1
 		for k, v := range s.Frac[f] {
 			total += v
-			if v > eps {
+			if v > Eps {
 				last = k
 			}
 		}
@@ -128,28 +134,14 @@ func (s *Schedule) FlowCompletionTimes() []float64 {
 	return out
 }
 
-// CompletionTimes returns, per coflow, the end of the last slot in
-// which any of its flows transmits (Eq. 12 of the paper), in slot
-// units. A coflow with an unscheduled flow gets +Inf.
+// CompletionTimes returns, per coflow, the latest completion of its
+// flows (Eq. 12 of the paper), in slot units. A coflow with an
+// unscheduled flow gets +Inf.
 func (s *Schedule) CompletionTimes() []float64 {
 	out := make([]float64, len(s.Inst.Coflows))
-	for f, ref := range s.Flows {
-		var total float64
-		last := -1
-		for k, v := range s.Frac[f] {
-			total += v
-			if v > eps {
-				last = k
-			}
-		}
-		var c float64
-		if total < 1-1e-5 || last < 0 {
-			c = math.Inf(1)
-		} else {
-			c = s.Grid.End(last)
-		}
-		if c > out[ref.Coflow] {
-			out[ref.Coflow] = c
+	for f, c := range s.FlowCompletionTimes() {
+		if j := s.Flows[f].Coflow; c > out[j] {
+			out[j] = c
 		}
 	}
 	return out
@@ -162,23 +154,6 @@ func (s *Schedule) WeightedCompletion() float64 {
 		sum += s.Inst.Coflows[j].Weight * c
 	}
 	return sum
-}
-
-// Makespan returns the end of the last active slot, or 0 for an empty
-// schedule.
-func (s *Schedule) Makespan() float64 {
-	last := -1
-	for f := range s.Frac {
-		for k, v := range s.Frac[f] {
-			if v > eps && k > last {
-				last = k
-			}
-		}
-	}
-	if last < 0 {
-		return 0
-	}
-	return s.Grid.End(last)
 }
 
 // Verify checks feasibility: every demand fully scheduled, no
@@ -201,11 +176,11 @@ func (s *Schedule) Verify() error {
 		var total float64
 		release := s.Inst.ReleaseAt(ref)
 		for t, v := range s.Frac[f] {
-			if v < -eps {
+			if v < -Eps {
 				return fmt.Errorf("schedule: flow %d slot %d negative fraction %g", f, t, v)
 			}
 			total += v
-			if v > eps && s.Grid.Start(t)+1e-9 < release {
+			if v > Eps && s.Grid.Start(t)+1e-9 < release {
 				return fmt.Errorf("schedule: flow %d transmits in slot %d starting %g before release %g",
 					f, t, s.Grid.Start(t), release)
 			}
@@ -245,7 +220,7 @@ func (s *Schedule) Verify() error {
 				}
 				var total float64
 				for pi, v := range pf {
-					if v < -eps {
+					if v < -Eps {
 						return fmt.Errorf("schedule: flow %d slot %d path %d negative %g", f, t, pi, v)
 					}
 					total += v
@@ -303,7 +278,7 @@ func (s *Schedule) Verify() error {
 					}
 				}
 				for e := range ef {
-					if ef[e] < -eps {
+					if ef[e] < -Eps {
 						return fmt.Errorf("schedule: flow %d slot %d edge %d negative %g", f, t, e, ef[e])
 					}
 					load[e] += fl.Demand * ef[e]
@@ -333,7 +308,7 @@ func (s *Schedule) Compact() int {
 	occupied := make([]bool, k)
 	for f := range s.Frac {
 		for t, v := range s.Frac[f] {
-			if v > eps {
+			if v > Eps {
 				occupied[t] = true
 			}
 		}
@@ -359,7 +334,7 @@ func (s *Schedule) Compact() int {
 			var maxRel float64
 			active := false
 			for f, ref := range s.Flows {
-				if s.Frac[f][t] > eps {
+				if s.Frac[f][t] > Eps {
 					active = true
 					if r := s.Inst.ReleaseAt(ref); r > maxRel {
 						maxRel = r
@@ -472,7 +447,7 @@ func Stretch(sol *model.Solution, lambda float64) (*Schedule, error) {
 		for src := 0; src < k; src++ {
 			v := sol.Frac[f][src]
 			hasEdges := free && anyPositive(sol.EdgeFrac[f][src])
-			if v <= eps && !hasEdges {
+			if v <= Eps && !hasEdges {
 				continue
 			}
 			// Image of slot src = (src, src+1] is (src/λ, (src+1)/λ].
@@ -538,7 +513,7 @@ func Stretch(sol *model.Solution, lambda float64) (*Schedule, error) {
 
 func anyPositive(xs []float64) bool {
 	for _, x := range xs {
-		if x > eps {
+		if x > Eps {
 			return true
 		}
 	}

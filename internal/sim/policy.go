@@ -337,13 +337,16 @@ func (p *lasPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
 // saturates, freezes the flows through it, and repeats on the rest —
 // the per-flow fairness a network with no coflow scheduler would give.
 //
-// The filling is incremental across rounds: per-edge unfrozen-flow
-// counts are maintained by decrement as flows freeze (the reference
-// recounts every path every round), the uniform raise δ lowers each
-// counted edge's residual in closed form, by count[e]·δ in one step,
-// and freezing walks a saturated edge's reverse index instead of
-// rescanning every live flow. A round therefore costs O(counted edges
-// + flows frozen this round), and each flow is frozen exactly once per
+// Per event it builds the live-flow list, the per-edge unfrozen-flow
+// counts and the edge→flows reverse index once; the counts then drop
+// by decrement as flows freeze (the reference recounts every path
+// every round). Each round is one min pass and one raise pass over the
+// counted edges: the min pass drops the edges whose flows all froze
+// and takes the raise δ = min residual[e]/count[e]; the raise pass
+// lowers each residual by count[e]·δ in one step and collects the
+// edges left at ≤ eps, whose reverse lists name the flows that freeze
+// at the accumulated fill. A round therefore costs O(counted edges +
+// flows frozen this round), and each flow is frozen exactly once per
 // event.
 //
 // Float contract: the test-only fairReference subtracts δ once per
@@ -356,11 +359,8 @@ type fairPolicy struct {
 	caps      []float64
 	residual  []float64
 	count     []int
-	share     []float64 // residual[e]/count[e] as of the last round it was computed
-	pos       []int32   // position of a counted edge in used
 	used      []graph.EdgeID
 	satEdges  []graph.EdgeID
-	touched   []graph.EdgeID
 	edgeFlows [][]int32
 	live      []liveFlow
 	// rounds observes the freeze-round count per event — how many
@@ -388,10 +388,7 @@ func (p *fairPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
 		}
 		p.residual = make([]float64, ne)
 		p.count = make([]int, ne)
-		p.share = make([]float64, ne)
-		p.pos = make([]int32, ne)
 		p.edgeFlows = make([][]int32, ne)
-		p.used = p.used[:0]
 	}
 	copy(p.residual, p.caps)
 	residual, count := p.residual, p.count
@@ -423,14 +420,13 @@ func (p *fairPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
 		out.live[j] = lv[:w]
 	}
 	live := p.live
-	p.used = p.used[:0]
+	used := p.used[:0]
 	for s := range live {
 		fi := live[s].fi
 		for k := pathOff[fi]; k < pathOff[fi+1]; k++ {
 			e := pe[k]
 			if count[e] == 0 {
-				p.pos[e] = int32(len(p.used))
-				p.used = append(p.used, e)
+				used = append(used, e)
 				p.edgeFlows[e] = p.edgeFlows[e][:0]
 			}
 			count[e]++
@@ -438,94 +434,49 @@ func (p *fairPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
 		}
 	}
 
-	// The rounds. Every round's delta is the min over counted edges of
-	// the residual share residual[e]/count[e] — the same value the
-	// reference's all-flows path scan finds (same multiset; a min is
+	// The rounds. A round's delta is the min over counted edges of the
+	// residual share residual[e]/count[e] — the value the reference's
+	// all-flows path scan finds (same multiset; a min is
 	// order-independent) — and every counted edge then loses delta once
 	// per unfrozen flow through it, count[e]·delta in one subtraction.
-	// The small-count shares avoid the division: x/1 is x, and x/2 and
-	// x·0.5 round to the identical float.
-	//
-	// Instead of a separate min scan per round, the subtraction pass
-	// speculatively computes next round's shares with the pre-freeze
-	// counts and tracks their min. The freeze step only ever lowers
-	// counts, and correctly-rounded division is monotone, so a touched
-	// edge's true share can only be ≥ its speculative one: the
-	// speculative min stands as next round's exact delta unless its own
-	// edge was touched — then the stored shares (fixed up for the
-	// touched edges) are rescanned, with no division. Edges whose flows
-	// all froze are compacted out of used in passing.
+	// Every unfrozen flow has a non-empty path (the single path model
+	// requires one) and every counted edge a positive residual, so
+	// delta ≥ 0.
 	fill := 0.0
-	used := p.used
-	share := p.share
 	sat := p.satEdges[:0]
-	touched := p.touched[:0]
-	var specMin float64
-	var specArg graph.EdgeID
-	var specN int
-	specValid := false
-	// Round 1 has no prior subtraction pass: seed the shares and their
-	// min from scratch. Zero-capacity edges keep their ≤ 0 share here —
-	// the reference's min sees them too, forcing the delta ≤ 0 path.
-	delta := -1.0
-	for _, e := range used {
-		var sh float64
-		switch count[e] {
-		case 1:
-			sh = residual[e]
-		case 2:
-			sh = residual[e] * 0.5
-		default:
-			sh = residual[e] / float64(count[e])
-		}
-		share[e] = sh
-		if delta < 0 || sh < delta {
-			delta = sh
-		}
-	}
 	fillRounds := 0
 	for unfrozen := len(live); unfrozen > 0; {
 		fillRounds++
-		sat = sat[:0]
-		if delta > 0 {
-			fill += delta
-			specValid = false
-			for _, e := range used {
-				n := count[e]
-				r := residual[e] - float64(n)*delta
-				residual[e] = r
-				if r <= eps {
-					// Saturated: all its unfrozen flows freeze this
-					// round, so it leaves the counted set — no share.
-					sat = append(sat, e)
-					continue
-				}
-				var sh float64
-				switch n {
-				case 1:
-					sh = r
-				case 2:
-					sh = r * 0.5
-				default:
-					sh = r / float64(n)
-				}
-				share[e] = sh
-				if !specValid || sh < specMin {
-					specMin, specArg, specN, specValid = sh, e, n, true
-				}
+		delta := -1.0
+		n := 0
+		for _, e := range used {
+			if count[e] == 0 {
+				continue // its last flow froze last round
 			}
-		} else {
-			for _, e := range used {
-				if residual[e] <= eps {
-					sat = append(sat, e)
-				}
+			used[n] = e
+			n++
+			if sh := residual[e] / float64(count[e]); delta < 0 || sh < delta {
+				delta = sh
 			}
 		}
-		// Freeze every unfrozen flow through a saturated edge, walking
-		// the saturated edges' reverse indexes and recording every
-		// decremented edge for the share fix-up.
-		frozeAny := false
-		touched = touched[:0]
+		used = used[:n]
+		fill += delta
+		sat = sat[:0]
+		for _, e := range used {
+			residual[e] -= float64(count[e]) * delta
+			if residual[e] <= eps {
+				sat = append(sat, e)
+			}
+		}
+		if len(sat) == 0 {
+			// No edge saturated: the min edge lands at zero up to
+			// rounding, which on a huge residual can exceed eps. Stop
+			// rather than loop; unfrozen flows keep the fill level.
+			break
+		}
+		// Freeze every unfrozen flow through a saturated edge; a
+		// saturated edge's count drops to zero, so the next min pass
+		// drops it.
 		for _, e := range sat {
 			for _, s := range p.edgeFlows[e] {
 				lf := &live[s]
@@ -535,70 +486,13 @@ func (p *fairPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
 				lf.frozen = true
 				lf.rate = fill
 				unfrozen--
-				frozeAny = true
-				fi := lf.fi
-				for k := pathOff[fi]; k < pathOff[fi+1]; k++ {
-					te := pe[k]
-					count[te]--
-					if count[te] == 0 {
-						// te's last flow froze: swap-remove it from the
-						// counted set, so no later pass tests for it.
-						last := int32(len(used) - 1)
-						le := used[last]
-						pt := p.pos[te]
-						used[pt] = le
-						p.pos[le] = pt
-						used = used[:last]
-					} else {
-						touched = append(touched, te)
-					}
-				}
-			}
-		}
-		if !frozeAny {
-			// No edge saturated (delta ≤ 0 with residual slack cannot
-			// happen, but guard against float drift). Unfrozen flows
-			// keep the accumulated fill level.
-			break
-		}
-		if unfrozen == 0 {
-			break
-		}
-		// Pass A stores every counted edge's share fresh each round, so
-		// staleness never outlives the round: only this round's touched
-		// edges can be stale, and only a rescan reads them. The fix-up
-		// is therefore deferred until a rescan is actually needed —
-		// which is O(1) to detect: the speculative min stands unless its
-		// own edge's count changed.
-		if specValid && count[specArg] == specN {
-			delta = specMin
-		} else {
-			for _, e := range touched {
-				n := count[e]
-				if n == 0 {
-					continue
-				}
-				var sh float64
-				switch n {
-				case 1:
-					sh = residual[e]
-				case 2:
-					sh = residual[e] * 0.5
-				default:
-					sh = residual[e] / float64(n)
-				}
-				share[e] = sh
-			}
-			delta = -1.0
-			for _, e := range used {
-				if sh := share[e]; delta < 0 || sh < delta {
-					delta = sh
+				for k := pathOff[lf.fi]; k < pathOff[lf.fi+1]; k++ {
+					count[pe[k]]--
 				}
 			}
 		}
 	}
-	p.satEdges = sat
-	p.touched = touched
+	p.used, p.satEdges = used, sat
 	if len(live) > 0 {
 		p.rounds.Observe(float64(fillRounds))
 	}

@@ -3,7 +3,7 @@ package sim
 // Differential tests for the incremental policies: the registered
 // "las" and "fair" implementations maintain their order / water-fill
 // state across events, and these tests hold them to the from-scratch
-// reference implementations (policy_reference.go) on the same
+// reference implementations (policy_reference_test.go) on the same
 // instances — full traces, completions, and aggregates, across all four
 // topology families and a seed sweep. las is held bit-identical. fair
 // lowers each counted edge's residual by count·δ in one step where the

@@ -52,18 +52,6 @@ func (m *Matrix) At(i, j int) float64 {
 	return sum
 }
 
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		ColPtr: append([]int(nil), m.ColPtr...),
-		RowIdx: append([]int(nil), m.RowIdx...),
-		Val:    append([]float64(nil), m.Val...),
-	}
-	return c
-}
-
 // SortColumns sorts row indices within every column in increasing
 // order, keeping values aligned.
 func (m *Matrix) SortColumns() {

@@ -211,17 +211,6 @@ func TestInfNorm(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	b := NewBuilder(2, 2)
-	b.Add(0, 0, 1)
-	m := b.Build()
-	c := m.Clone()
-	c.Val[0] = 99
-	if m.Val[0] == 99 {
-		t.Fatal("clone shares storage with original")
-	}
-}
-
 func BenchmarkMulVec(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 2000

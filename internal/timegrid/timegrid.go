@@ -101,9 +101,6 @@ func (g Grid) FirstUsableSlot(r float64) int {
 	return lo
 }
 
-// Bounds returns a copy of the interval boundaries.
-func (g Grid) Bounds() []float64 { return append([]float64(nil), g.bounds...) }
-
 // String summarizes the grid.
 func (g Grid) String() string {
 	return fmt.Sprintf("timegrid.Grid{%d slots, horizon %.4g}", g.NumSlots(), g.Horizon())

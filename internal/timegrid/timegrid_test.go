@@ -36,13 +36,12 @@ func TestUniformPanics(t *testing.T) {
 
 func TestGeometricBounds(t *testing.T) {
 	g := Geometric(10, 0.5)
-	b := g.Bounds()
-	if b[0] != 0 || b[1] != 1 {
-		t.Fatalf("bounds start %v", b[:2])
+	if g.Start(0) != 0 || g.End(0) != 1 {
+		t.Fatalf("first slot [%v, %v)", g.Start(0), g.End(0))
 	}
-	for k := 2; k < len(b); k++ {
-		if math.Abs(b[k]-b[k-1]*1.5) > 1e-12 {
-			t.Fatalf("bound %d = %v, want %v", k, b[k], b[k-1]*1.5)
+	for k := 1; k < g.NumSlots(); k++ {
+		if math.Abs(g.End(k)-g.Start(k)*1.5) > 1e-12 {
+			t.Fatalf("slot %d ends at %v, want %v", k, g.End(k), g.Start(k)*1.5)
 		}
 	}
 	if g.Horizon() < 10 {

@@ -18,6 +18,11 @@
 // internal rate checker: it recomputes loads, completions, and bounds
 // from scratch (bottleneck rates via internal/maxflow), so a bug in a
 // scheduler and a bug in its own feasibility check cannot cancel out.
+// The replay shares exactly one constant with package schedule,
+// schedule.Eps, the definition of a transmission: a flow transmits in
+// a slot, and so counts toward its completion and is held to its
+// release there, exactly when its fraction exceeds it. The demand
+// check keeps its own, looser fracTol.
 // It is the engine of the scheduler × topology × model conformance
 // matrix that gates every scheduler in the repository.
 //
@@ -247,7 +252,7 @@ func Schedule(s *schedule.Schedule) (*Report, []float64) {
 			if v < -fracTol {
 				r.addf(KindStructure, "flow %d slot %d: negative fraction %g", f, t, v)
 			}
-			if v > fracTol {
+			if v > schedule.Eps {
 				last = t
 				if s.Grid.Start(t)+timeTol < release {
 					r.addf(KindRelease, "flow %d transmits in slot %d (start %g) before release %g",
