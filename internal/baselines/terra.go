@@ -45,29 +45,39 @@ type TerraResult struct {
 // per-edge rates. μ = 0 means no capacity is left.
 func concurrentFlowRate(ctx context.Context, g *graph.Graph, flows []coflow.Flow, rem []float64, residual []float64) (float64, [][]float64, error) {
 	ne := g.NumEdges()
+	active := 0
+	for i := range flows {
+		if rem[i] > 1e-12 {
+			active++
+		}
+	}
+	if active == 0 {
+		return 0, nil, nil
+	}
 	m := lp.NewModel("concurrent-flow")
 	m.SetMaximize(true)
-	mu := m.AddVar("mu", 0, math.Inf(1), 1)
+	// Each active flow adds ne rates, a source, a sink and a
+	// conservation row per other node, and 3·ne+2 entries.
+	m.Grow(1+active*ne, ne+active*g.NumNodes(), active*(3*ne+2))
+	mu := m.AddVar("", 0, math.Inf(1), 1)
 	rate := make([][]lp.VarID, len(flows))
 	// Per-edge capacity rows.
 	capRows := make([]lp.ConstrID, ne)
 	for e := 0; e < ne; e++ {
-		capRows[e] = m.AddConstr(fmt.Sprintf("cap_e%d", e), lp.LE, math.Max(0, residual[e]))
+		capRows[e] = m.AddConstr("", lp.LE, math.Max(0, residual[e]))
 	}
-	active := false
 	for i, fl := range flows {
 		if rem[i] <= 1e-12 {
 			continue
 		}
-		active = true
 		rate[i] = make([]lp.VarID, ne)
 		for e := 0; e < ne; e++ {
-			rate[i][e] = m.AddVar(fmt.Sprintf("r_f%d_e%d", i, e), 0, math.Inf(1), 0)
+			rate[i][e] = m.AddVar("", 0, math.Inf(1), 0)
 			m.AddTerm(capRows[e], rate[i][e], 1)
 		}
 		// Net outflow at source = μ·rem_i; conservation elsewhere;
 		// net inflow at sink = μ·rem_i.
-		src := m.AddConstr(fmt.Sprintf("src_f%d", i), lp.EQ, 0)
+		src := m.AddConstr("", lp.EQ, 0)
 		for _, eid := range g.OutEdges(fl.Source) {
 			m.AddTerm(src, rate[i][eid], 1)
 		}
@@ -75,7 +85,7 @@ func concurrentFlowRate(ctx context.Context, g *graph.Graph, flows []coflow.Flow
 			m.AddTerm(src, rate[i][eid], -1)
 		}
 		m.AddTerm(src, mu, -rem[i])
-		snk := m.AddConstr(fmt.Sprintf("snk_f%d", i), lp.EQ, 0)
+		snk := m.AddConstr("", lp.EQ, 0)
 		for _, eid := range g.InEdges(fl.Sink) {
 			m.AddTerm(snk, rate[i][eid], 1)
 		}
@@ -88,7 +98,7 @@ func concurrentFlowRate(ctx context.Context, g *graph.Graph, flows []coflow.Flow
 			if nv == fl.Source || nv == fl.Sink {
 				continue
 			}
-			row := m.AddConstr(fmt.Sprintf("cons_f%d_v%d", i, v), lp.EQ, 0)
+			row := m.AddConstr("", lp.EQ, 0)
 			for _, eid := range g.InEdges(nv) {
 				m.AddTerm(row, rate[i][eid], 1)
 			}
@@ -96,9 +106,6 @@ func concurrentFlowRate(ctx context.Context, g *graph.Graph, flows []coflow.Flow
 				m.AddTerm(row, rate[i][eid], -1)
 			}
 		}
-	}
-	if !active {
-		return 0, nil, nil
 	}
 	sol, err := m.Solve(ctx, simplex.Options{})
 	if err != nil {

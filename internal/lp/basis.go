@@ -18,11 +18,11 @@ type Basis struct {
 // standardBasis lays w over this model's standard form: n structural
 // variables followed by one slack per inequality row.
 func (m *Model) standardBasis(w *Basis, total int) *simplex.Basis {
-	n := len(m.varNames)
-	if len(w.Vars) != n || len(w.Cons) != len(m.conNames) {
+	n := len(m.lb)
+	if len(w.Vars) != n || len(w.Cons) != len(m.senses) {
 		return &simplex.Basis{} // another shape: rejected on dimensions
 	}
-	sb := &simplex.Basis{M: len(m.conNames), N: total, State: make([]int8, total)}
+	sb := &simplex.Basis{M: len(m.senses), N: total, State: make([]int8, total)}
 	copy(sb.State, w.Vars)
 	sj := n
 	for i, sense := range m.senses {
@@ -40,8 +40,8 @@ func (m *Model) exportBasis(sb *simplex.Basis) *Basis {
 	if sb == nil {
 		return nil
 	}
-	n := len(m.varNames)
-	b := &Basis{Vars: sb.State[:n:n], Cons: make([]int8, len(m.conNames))}
+	n := len(m.lb)
+	b := &Basis{Vars: sb.State[:n:n], Cons: make([]int8, len(m.senses))}
 	sj := n
 	for i, sense := range m.senses {
 		if sense != EQ {

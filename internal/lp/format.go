@@ -36,7 +36,7 @@ func WriteLP(w io.Writer, m *Model) error {
 		if c == 0 {
 			continue
 		}
-		writeTerm(bw, c, m.varNames[j], !wrote)
+		writeTerm(bw, c, m.VarName(VarID(j)), !wrote)
 		wrote = true
 	}
 	if !wrote {
@@ -49,17 +49,17 @@ func WriteLP(w io.Writer, m *Model) error {
 		v    int32
 		coef float64
 	}
-	rows := make(map[int32][]term, len(m.conNames))
+	rows := make(map[int32][]term, len(m.senses))
 	for k := range m.vals {
 		rows[m.rows[k]] = append(rows[m.rows[k]], term{m.cols[k], m.vals[k]})
 	}
-	for i := range m.conNames {
+	for i := range m.senses {
 		ts := rows[int32(i)]
 		sort.SliceStable(ts, func(a, b int) bool { return ts[a].v < ts[b].v })
-		fmt.Fprintf(bw, "%s:", m.conNames[i])
+		fmt.Fprintf(bw, "%s:", m.ConstrName(ConstrID(i)))
 		first := true
 		for _, t := range ts {
-			writeTerm(bw, t.coef, m.varNames[t.v], first)
+			writeTerm(bw, t.coef, m.VarName(VarID(t.v)), first)
 			first = false
 		}
 		if first {
@@ -67,19 +67,20 @@ func WriteLP(w io.Writer, m *Model) error {
 		}
 		fmt.Fprintf(bw, " %s %s;\n", m.senses[i], fmtNum(m.rhs[i]))
 	}
-	for j := range m.varNames {
+	for j := range m.lb {
 		l, u := m.lb[j], m.ub[j]
+		name := m.VarName(VarID(j))
 		switch {
 		case math.IsInf(l, -1) && math.IsInf(u, 1):
-			fmt.Fprintf(bw, "free %s;\n", m.varNames[j])
+			fmt.Fprintf(bw, "free %s;\n", name)
 		case l == 0 && math.IsInf(u, 1):
 			// default; nothing to write
 		case math.IsInf(u, 1):
-			fmt.Fprintf(bw, "%s >= %s;\n", m.varNames[j], fmtNum(l))
+			fmt.Fprintf(bw, "%s >= %s;\n", name, fmtNum(l))
 		case math.IsInf(l, -1):
-			fmt.Fprintf(bw, "%s <= %s;\n", m.varNames[j], fmtNum(u))
+			fmt.Fprintf(bw, "%s <= %s;\n", name, fmtNum(u))
 		default:
-			fmt.Fprintf(bw, "%s <= %s <= %s;\n", fmtNum(l), m.varNames[j], fmtNum(u))
+			fmt.Fprintf(bw, "%s <= %s <= %s;\n", fmtNum(l), name, fmtNum(u))
 		}
 	}
 	return bw.Flush()

@@ -1,9 +1,15 @@
 // Package lp provides a small modeling layer over the revised simplex
-// solver in internal/simplex: named variables with bounds and
-// objective coefficients, linear constraints with ≤ / = / ≥ senses,
-// and solution objects that map primal values, duals and reduced costs
-// back to the modeling entities. It plays the role of the Gurobi
-// modeling API in the paper's tool chain.
+// solver in internal/simplex: variables with bounds and objective
+// coefficients, linear constraints with ≤ / = / ≥ senses, and solution
+// objects that map primal values, duals and reduced costs back to the
+// modeling entities. It plays the role of the Gurobi modeling API in
+// the paper's tool chain.
+//
+// Names are optional. Variables and constraints are identified by
+// their VarID and ConstrID; a model stores names only for the entities
+// a caller named (ParseLP names all of them), and VarName/ConstrName
+// make up x<id> and r<id> for the rest, so WriteLP output always
+// parses.
 //
 // The package also implements a minimal LP text format (see format.go)
 // used by cmd/lpsolve.
@@ -14,6 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"repro/internal/simplex"
 	"repro/internal/sparse"
@@ -54,13 +62,17 @@ type ConstrID int
 type Model struct {
 	name string
 
-	varNames []string
-	lb, ub   []float64
-	obj      []float64
+	lb, ub []float64
+	obj    []float64
 
+	senses []Sense
+	rhs    []float64
+
+	// Names of the named entities, by id. An entity past the end of its
+	// slice, or stored as "", has none; a model that names nothing never
+	// allocates them.
+	varNames []string
 	conNames []string
-	senses   []Sense
-	rhs      []float64
 
 	// coefficient triplets
 	rows []int32
@@ -82,22 +94,55 @@ func (m *Model) Name() string { return m.name }
 func (m *Model) SetMaximize(max bool) { m.maximize = max }
 
 // NumVars reports the number of variables added so far.
-func (m *Model) NumVars() int { return len(m.varNames) }
+func (m *Model) NumVars() int { return len(m.lb) }
 
 // NumConstrs reports the number of constraints added so far.
-func (m *Model) NumConstrs() int { return len(m.conNames) }
+func (m *Model) NumConstrs() int { return len(m.senses) }
 
 // NumNonzeros reports the number of coefficient entries added so far.
 func (m *Model) NumNonzeros() int { return len(m.vals) }
 
+// Grow reserves room for vars more variables, constrs more
+// constraints and terms more coefficient entries, so a caller that
+// knows its model's size builds it without reallocating.
+func (m *Model) Grow(vars, constrs, terms int) {
+	m.lb = slices.Grow(m.lb, vars)
+	m.ub = slices.Grow(m.ub, vars)
+	m.obj = slices.Grow(m.obj, vars)
+	m.senses = slices.Grow(m.senses, constrs)
+	m.rhs = slices.Grow(m.rhs, constrs)
+	m.rows = slices.Grow(m.rows, terms)
+	m.cols = slices.Grow(m.cols, terms)
+	m.vals = slices.Grow(m.vals, terms)
+}
+
 // AddVar adds a variable with the given bounds and objective
-// coefficient and returns its id. Use math.Inf for unbounded sides.
+// coefficient and returns its id. Use math.Inf for unbounded sides. An
+// empty name leaves the variable unnamed.
 func (m *Model) AddVar(name string, lb, ub, obj float64) VarID {
-	m.varNames = append(m.varNames, name)
+	v := VarID(len(m.lb))
+	m.varNames = addName(m.varNames, int(v), name)
 	m.lb = append(m.lb, lb)
 	m.ub = append(m.ub, ub)
 	m.obj = append(m.obj, obj)
-	return VarID(len(m.varNames) - 1)
+	return v
+}
+
+// addName records name as the name of entity id, the last one added.
+// An empty name records nothing.
+func addName(names []string, id int, name string) []string {
+	if name == "" {
+		return names
+	}
+	return append(append(names, make([]string, id-len(names))...), name)
+}
+
+// entityName is names[id], or prefix<id> when the entity is unnamed.
+func entityName(names []string, prefix string, id int) string {
+	if id < len(names) && names[id] != "" {
+		return names[id]
+	}
+	return prefix + strconv.Itoa(id)
 }
 
 // Obj returns the objective coefficient of v.
@@ -109,16 +154,18 @@ func (m *Model) Bounds(v VarID) (lb, ub float64) { return m.lb[v], m.ub[v] }
 // SetBounds overwrites the bounds of v.
 func (m *Model) SetBounds(v VarID, lb, ub float64) { m.lb[v], m.ub[v] = lb, ub }
 
-// VarName returns the name of v.
-func (m *Model) VarName(v VarID) string { return m.varNames[v] }
+// VarName returns the name v was added with, or x<v> when it has none.
+func (m *Model) VarName(v VarID) string { return entityName(m.varNames, "x", int(v)) }
 
 // AddConstr adds an empty constraint (sense, rhs) and returns its id.
-// Populate it with AddTerm.
+// Populate it with AddTerm. An empty name leaves the constraint
+// unnamed.
 func (m *Model) AddConstr(name string, sense Sense, rhs float64) ConstrID {
-	m.conNames = append(m.conNames, name)
+	c := ConstrID(len(m.senses))
+	m.conNames = addName(m.conNames, int(c), name)
 	m.senses = append(m.senses, sense)
 	m.rhs = append(m.rhs, rhs)
-	return ConstrID(len(m.conNames) - 1)
+	return c
 }
 
 // AddTerm adds coef·v to constraint c. Terms for the same (c, v) pair
@@ -132,8 +179,9 @@ func (m *Model) AddTerm(c ConstrID, v VarID, coef float64) {
 	m.vals = append(m.vals, coef)
 }
 
-// ConstrName returns the name of c.
-func (m *Model) ConstrName(c ConstrID) string { return m.conNames[c] }
+// ConstrName returns the name c was added with, or r<c> when it has
+// none.
+func (m *Model) ConstrName(c ConstrID) string { return entityName(m.conNames, "r", int(c)) }
 
 // ConstrSense returns the relational sense of c.
 func (m *Model) ConstrSense(c ConstrID) Sense { return m.senses[c] }
@@ -183,8 +231,8 @@ func (m *Model) Solve(ctx context.Context, opt simplex.Options) (*Solution, erro
 // SolveWarm never returns a worse answer than Solve — only, usually, a
 // faster one.
 func (m *Model) SolveWarm(ctx context.Context, opt simplex.Options, warm *Basis) (*Solution, error) {
-	n := len(m.varNames)
-	mm := len(m.conNames)
+	n := len(m.lb)
+	mm := len(m.senses)
 	if n == 0 {
 		return nil, errors.New("lp: model has no variables")
 	}
@@ -194,15 +242,12 @@ func (m *Model) SolveWarm(ctx context.Context, opt simplex.Options, warm *Basis)
 			slacks++
 		}
 	}
+	// Standard form [A | slacks]: one unit column per inequality row,
+	// after the structural columns, assembled straight from the terms.
+	slackRows := make([]int32, 0, slacks)
 	total := n + slacks
-	bld := sparse.NewBuilder(mm, total)
-	bld.Grow(len(m.vals) + slacks)
-	for k := range m.vals {
-		bld.Add(int(m.rows[k]), int(m.cols[k]), m.vals[k])
-	}
-	c := make([]float64, total)
-	l := make([]float64, total)
-	u := make([]float64, total)
+	clu := make([]float64, 3*total)
+	c, l, u := clu[:total:total], clu[total:2*total:2*total], clu[2*total:]
 	dirSign := 1.0
 	if m.maximize {
 		dirSign = -1
@@ -216,18 +261,18 @@ func (m *Model) SolveWarm(ctx context.Context, opt simplex.Options, warm *Basis)
 	for i, s := range m.senses {
 		switch s {
 		case LE:
-			bld.Add(i, sj, 1)
 			l[sj], u[sj] = 0, math.Inf(1)
-			sj++
 		case GE:
-			bld.Add(i, sj, 1)
 			l[sj], u[sj] = math.Inf(-1), 0
-			sj++
+		default:
+			continue
 		}
+		slackRows = append(slackRows, int32(i))
+		sj++
 	}
 	prob := &simplex.Problem{
-		A: bld.Build(),
-		B: append([]float64(nil), m.rhs...),
+		A: sparse.FromTriplets(mm, n, m.rows, m.cols, m.vals, slackRows),
+		B: m.rhs[:mm:mm],
 		C: c, L: l, U: u,
 	}
 	if warm != nil {

@@ -88,10 +88,6 @@ type Factorization struct {
 	// factorization usable by the solves: true after a successful
 	// Factor, false after an error.
 	complete bool
-	// factors counts Factor calls over this object's lifetime
-	// (successful or not) — the simplex layer exports it as a telemetry
-	// counter, since each call is one full refactorization's work.
-	factors int
 }
 
 // New returns a Factorization sized for n×n matrices.
@@ -109,9 +105,6 @@ func (f *Factorization) LNnz() int { return len(f.lRowIdx) }
 
 // UNnz reports the number of nonzeros stored in U including diagonal.
 func (f *Factorization) UNnz() int { return len(f.uRowIdx) + f.n }
-
-// Factors reports how many times Factor ran on this object.
-func (f *Factorization) Factors() int { return f.factors }
 
 func (f *Factorization) resize(n int) {
 	f.n = n
@@ -162,7 +155,6 @@ func (f *Factorization) Factor(m *sparse.Matrix) error {
 		return fmt.Errorf("lu: matrix is %dx%d, want square", m.Rows, m.Cols)
 	}
 	n := m.Rows
-	f.factors++
 	f.resize(n)
 	f.transOK = false
 	f.complete = false

@@ -105,7 +105,7 @@ func BuildSinglePath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 	k := grid.NumSlots()
 
 	// Capacity rows (6)/(19): one per (edge, slot) with any traffic.
-	l.capRow = rowTable(inst.Graph.NumEdges(), k)
+	l.capRow = idTable[lp.ConstrID](inst.Graph.NumEdges(), k)
 	for f, ref := range l.flows {
 		fl := inst.FlowAt(ref)
 		for _, eid := range fl.Path {
@@ -123,19 +123,20 @@ func (l *LP) capacityRow(e graph.EdgeID, t int) lp.ConstrID {
 	row := l.capRow[e][t]
 	if row < 0 {
 		cap := l.Inst.Graph.Edge(e).Capacity * l.Grid.Len(t)
-		row = l.Model.AddConstr(fmt.Sprintf("cap_e%d_t%d", e, t), lp.LE, cap)
+		row = l.Model.AddConstr("", lp.LE, cap)
 		l.capRow[e][t] = row
 	}
 	return row
 }
 
-// rowTable returns an n×k table of constraint ids, every entry -1.
-func rowTable(n, k int) [][]lp.ConstrID {
-	ids := make([]lp.ConstrID, n*k)
+// idTable returns an n×k table of variable or constraint ids over one
+// backing array, every entry -1.
+func idTable[ID lp.VarID | lp.ConstrID](n, k int) [][]ID {
+	ids := make([]ID, n*k)
 	for i := range ids {
 		ids[i] = -1
 	}
-	table := make([][]lp.ConstrID, n)
+	table := make([][]ID, n)
 	for i := range table {
 		table[i] = ids[i*k : (i+1)*k : (i+1)*k]
 	}
@@ -165,12 +166,12 @@ func BuildFreePath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 		for t := l.first[f]; t < k; t++ {
 			evars := make([]lp.VarID, ne)
 			for e := 0; e < ne; e++ {
-				evars[e] = m.AddVar(fmt.Sprintf("xe_f%d_t%d_e%d", f, t, e), 0, 1, 0)
+				evars[e] = m.AddVar("", 0, 1, 0)
 			}
 			l.xe[f][t] = evars
 
 			// Net outflow at the source equals x_f(t) (7).
-			src := m.AddConstr(fmt.Sprintf("src_f%d_t%d", f, t), lp.EQ, 0)
+			src := m.AddConstr("", lp.EQ, 0)
 			for _, eid := range g.OutEdges(fl.Source) {
 				m.AddTerm(src, evars[eid], 1)
 			}
@@ -180,7 +181,7 @@ func BuildFreePath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 			m.AddTerm(src, l.x[f][t], -1)
 
 			// Net inflow at the sink equals x_f(t) (8).
-			snk := m.AddConstr(fmt.Sprintf("snk_f%d_t%d", f, t), lp.EQ, 0)
+			snk := m.AddConstr("", lp.EQ, 0)
 			for _, eid := range g.InEdges(fl.Sink) {
 				m.AddTerm(snk, evars[eid], 1)
 			}
@@ -199,7 +200,7 @@ func BuildFreePath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 				if len(ins) == 0 && len(outs) == 0 {
 					continue
 				}
-				row := m.AddConstr(fmt.Sprintf("cons_f%d_t%d_v%d", f, t, v), lp.EQ, 0)
+				row := m.AddConstr("", lp.EQ, 0)
 				for _, eid := range ins {
 					m.AddTerm(row, evars[eid], 1)
 				}
@@ -220,7 +221,7 @@ func BuildFreePath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 					continue
 				}
 				if row < 0 {
-					row = m.AddConstr(fmt.Sprintf("cap_e%d_t%d", e, t), lp.LE, capE*grid.Len(t))
+					row = m.AddConstr("", lp.LE, capE*grid.Len(t))
 				}
 				m.AddTerm(row, l.xe[f][t][e], inst.FlowAt(l.flows[f]).Demand)
 			}
@@ -231,19 +232,20 @@ func BuildFreePath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 
 // buildCommon creates the variables and constraints shared by both
 // models: x, cumulative y, coflow indicators X_j, completion C_j, the
-// demand constraint (1) and the completion bound (3)/(16).
+// demand constraint (1) and the completion bound (3)/(16). The model
+// is sized for the whole relaxation of mode before anything is added.
 func buildCommon(inst *coflow.Instance, grid timegrid.Grid, mode coflow.Model) (*LP, error) {
 	k := grid.NumSlots()
 	l := &LP{
-		Model: lp.NewModel(fmt.Sprintf("coflow-%s", mode)),
+		Model: lp.NewModel("coflow-" + mode.String()),
 		Inst:  inst,
 		Grid:  grid,
 		Mode:  mode,
 		flows: inst.FlattenFlows(),
 	}
 	m := l.Model
-	l.first = make([]int, len(l.flows))
-	l.x = make([][]lp.VarID, len(l.flows))
+	nf := len(l.flows)
+	l.first = make([]int, nf)
 
 	// Quick infeasibility guard: every flow must fit after release.
 	for f, ref := range l.flows {
@@ -253,75 +255,128 @@ func buildCommon(inst *coflow.Instance, grid timegrid.Grid, mode coflow.Model) (
 		}
 		l.first[f] = first
 	}
+	m.Grow(l.size())
 
 	// x and cumulative y variables with the recurrence rows.
-	l.y = make([][]lp.VarID, len(l.flows))
-	yVar := l.y
+	l.x = idTable[lp.VarID](nf, k)
+	l.y = idTable[lp.VarID](nf, k)
 	for f := range l.flows {
-		l.x[f] = make([]lp.VarID, k)
-		yVar[f] = make([]lp.VarID, k)
-		for t := 0; t < k; t++ {
-			l.x[f][t] = -1
-			yVar[f][t] = -1
-		}
 		for t := l.first[f]; t < k; t++ {
-			l.x[f][t] = m.AddVar(fmt.Sprintf("x_f%d_t%d", f, t), 0, 1, 0)
-			ub := 1.0
+			l.x[f][t] = m.AddVar("", 0, 1, 0)
 			lb := 0.0
 			if t == k-1 {
 				lb = 1.0 // constraint (1): fully scheduled by the horizon
 			}
-			yVar[f][t] = m.AddVar(fmt.Sprintf("y_f%d_t%d", f, t), lb, ub, 0)
-			row := m.AddConstr(fmt.Sprintf("ycum_f%d_t%d", f, t), lp.EQ, 0)
-			m.AddTerm(row, yVar[f][t], 1)
+			l.y[f][t] = m.AddVar("", lb, 1, 0)
+			row := m.AddConstr("", lp.EQ, 0)
+			m.AddTerm(row, l.y[f][t], 1)
 			m.AddTerm(row, l.x[f][t], -1)
 			if t > l.first[f] {
-				m.AddTerm(row, yVar[f][t-1], -1)
+				m.AddTerm(row, l.y[f][t-1], -1)
 			}
 		}
 	}
 
 	// Coflow indicators X_j(t) (2) and completion variables C_j (3)/(16).
+	// Flows are flattened coflow by coflow, so coflow j's flows are the
+	// flat range [lo, hi).
 	nc := len(inst.Coflows)
-	l.xj = make([][]lp.VarID, nc)
+	l.xj = idTable[lp.VarID](nc, k)
 	l.cj = make([]lp.VarID, nc)
-	l.indRow = rowTable(len(l.flows), k)
-	flowsOf := make([][]int, nc)
-	for f, ref := range l.flows {
-		flowsOf[ref.Coflow] = append(flowsOf[ref.Coflow], f)
-	}
+	l.indRow = idTable[lp.ConstrID](nf, k)
+	hi := 0
 	for j := 0; j < nc; j++ {
-		maxFirst := 0
-		for _, f := range flowsOf[j] {
-			if l.first[f] > maxFirst {
-				maxFirst = l.first[f]
-			}
-		}
-		l.xj[j] = make([]lp.VarID, k)
-		for t := 0; t < k; t++ {
-			l.xj[j][t] = -1
-		}
+		lo := hi
+		hi += len(inst.Coflows[j].Flows)
+		maxFirst := maxSlot(l.first[lo:hi])
 		for t := maxFirst; t < k; t++ {
-			xjv := m.AddVar(fmt.Sprintf("X_c%d_t%d", j, t), 0, 1, 0)
+			xjv := m.AddVar("", 0, 1, 0)
 			l.xj[j][t] = xjv
-			for _, f := range flowsOf[j] {
-				row := m.AddConstr(fmt.Sprintf("ind_c%d_f%d_t%d", j, f, t), lp.LE, 0)
+			for f := lo; f < hi; f++ {
+				row := m.AddConstr("", lp.LE, 0)
 				l.indRow[f][t] = row
 				m.AddTerm(row, xjv, 1)
-				m.AddTerm(row, yVar[f][t], -1)
+				m.AddTerm(row, l.y[f][t], -1)
 			}
 		}
 		// C_j + Σ_t len(t)·X_j(t) ≥ 1 + Σ_t len(t); X_j(t)=0 terms for
 		// t < maxFirst are dropped from the left (they contribute 0).
-		cv := m.AddVar(fmt.Sprintf("C_c%d", j), 1, math.Inf(1), inst.Coflows[j].Weight)
+		cv := m.AddVar("", 1, math.Inf(1), inst.Coflows[j].Weight)
 		l.cj[j] = cv
-		row := m.AddConstr(fmt.Sprintf("comp_c%d", j), lp.GE, 1+grid.Horizon())
+		row := m.AddConstr("", lp.GE, 1+grid.Horizon())
 		m.AddTerm(row, cv, 1)
 		for t := maxFirst; t < k; t++ {
 			m.AddTerm(row, l.xj[j][t], grid.Len(t))
 		}
 	}
 	return l, nil
+}
+
+// maxSlot returns the latest of the given first slots, 0 for none.
+func maxSlot(first []int) int {
+	latest := 0
+	for _, t := range first {
+		latest = max(latest, t)
+	}
+	return latest
+}
+
+// size counts the variables, rows and terms the relaxation of l.Mode
+// has over the first usable slots l.first: the shared structure of
+// buildCommon plus the routing the mode's builder adds. For the free
+// path model the row and term counts are upper bounds.
+func (l *LP) size() (vars, rows, terms int) {
+	inst, g, k := l.Inst, l.Inst.Graph, l.Grid.NumSlots()
+	ne := g.NumEdges()
+	hi := 0
+	for j := range inst.Coflows {
+		lo := hi
+		hi += len(inst.Coflows[j].Flows)
+		s := k - maxSlot(l.first[lo:hi])
+		vars += s + 1                // X_j(t), C_j
+		rows += (hi-lo)*s + 1        // indicator rows, completion row
+		terms += 2*(hi-lo)*s + 1 + s // the same rows' entries
+	}
+	// Capacity rows exist for an edge from its earliest flow's first slot.
+	from := make([]int, ne)
+	for e := range from {
+		from[e] = k
+	}
+	carries := func(path []graph.EdgeID, first int) {
+		for _, e := range path {
+			from[e] = min(from[e], first)
+		}
+	}
+	for f, ref := range l.flows {
+		fl, s := inst.FlowAt(ref), k-l.first[f]
+		vars += 2 * s    // x, y
+		rows += s        // recurrence rows
+		terms += 3*s - 1 // the first slot's row has no y_f(t−1)
+		switch l.Mode {
+		case coflow.SinglePath:
+			terms += s * len(fl.Path)
+			carries(fl.Path, l.first[f])
+		case coflow.MultiPath:
+			rows += s  // path-split rows
+			terms += s // their x_f(t) entries
+			for _, p := range fl.AltPaths {
+				vars += s
+				terms += s * (1 + len(p))
+				carries(p, l.first[f])
+			}
+		case coflow.FreePath:
+			vars += s * ne
+			rows += s * g.NumNodes() // source, sink and conservation rows
+			terms += s * (3*ne + 2)  // their entries, and the capacity rows'
+			for e := range from {
+				from[e] = min(from[e], l.first[f])
+			}
+		}
+	}
+	for _, t := range from {
+		rows += k - t
+	}
+	return vars, rows, terms
 }
 
 // ReleaseError reports a flow released after the grid's last slot
@@ -389,8 +444,9 @@ func (l *LP) SolveWarm(ctx context.Context, opt simplex.Options, warm *lp.Basis)
 	for j, cv := range l.cj {
 		sol.CStar[j] = raw.Value(cv)
 	}
+	frac := make([]float64, len(l.flows)*k)
 	for f := range l.flows {
-		sol.Frac[f] = make([]float64, k)
+		sol.Frac[f] = frac[f*k : (f+1)*k : (f+1)*k]
 		for t := l.first[f]; t < k; t++ {
 			if v := raw.Value(l.x[f][t]); v > 1e-9 {
 				sol.Frac[f][t] = v

@@ -1,12 +1,15 @@
 package model
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/coflow"
 	"repro/internal/graph"
+	"repro/internal/lp"
 	"repro/internal/simplex"
 	"repro/internal/timegrid"
 )
@@ -347,5 +350,61 @@ func TestFirstSlotAccessors(t *testing.T) {
 	}
 	if len(l.Flows()) != 1 {
 		t.Fatalf("Flows() len %d", len(l.Flows()))
+	}
+}
+
+// TestSizeCountsTheModel holds the presizing to the builders: size
+// counts exactly the variables, rows and terms a single or multi path
+// relaxation gets, and bounds those of a free path one.
+func TestSizeCountsTheModel(t *testing.T) {
+	for _, c := range []pinCase{
+		{name: "single", mode: coflow.SinglePath, coflows: 8, seed: 4, maxSlots: 48},
+		{name: "free", mode: coflow.FreePath, coflows: 3, seed: 5, maxSlots: 16},
+		{name: "multi", mode: coflow.MultiPath, coflows: 4, seed: 6, maxSlots: 12},
+	} {
+		l := pinLP(t, c)
+		vars, rows, terms := l.size()
+		got := [3]int{l.Model.NumVars(), l.Model.NumConstrs(), l.Model.NumNonzeros()}
+		exact := c.mode != coflow.FreePath
+		if (exact && got != [3]int{vars, rows, terms}) || got[0] > vars || got[1] > rows || got[2] > terms {
+			t.Errorf("%s: built %v variables/rows/terms, size counts %v", c.name, got, [3]int{vars, rows, terms})
+		}
+	}
+}
+
+// TestUnnamedLPWritesAndParses writes a built relaxation, whose
+// variables and rows carry no names, in the LP text format: the file
+// names them x<id> and r<id>, and parsing it back gives a model with
+// the same optimum.
+func TestUnnamedLPWritesAndParses(t *testing.T) {
+	l := pinLP(t, pinCase{name: "single/fb4/seed3", mode: coflow.SinglePath, coflows: 4, seed: 3, maxSlots: 16})
+	var buf bytes.Buffer
+	if err := lp.WriteLP(&buf, l.Model); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	last := lp.ConstrID(l.Model.NumConstrs() - 1)
+	if name := l.Model.ConstrName(last); !strings.Contains(text, "\n"+name+":") {
+		t.Fatalf("written model has no row %s", name)
+	}
+	parsed, err := lp.ParseLP(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parsed.NumConstrs() != l.Model.NumConstrs() || parsed.ConstrName(last) != l.Model.ConstrName(last) {
+		t.Fatalf("parsed %d rows (last %q), built %d (last %q)", parsed.NumConstrs(), parsed.ConstrName(last),
+			l.Model.NumConstrs(), l.Model.ConstrName(last))
+	}
+	want, err := l.Model.Solve(context.Background(), simplex.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := parsed.Solve(context.Background(), simplex.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != simplex.Optimal || want.Status != simplex.Optimal ||
+		math.Abs(got.Obj-want.Obj) > 1e-9*math.Abs(want.Obj) {
+		t.Fatalf("parsed model: %v %v, built model: %v %v", got.Status, got.Obj, want.Status, want.Obj)
 	}
 }

@@ -1,8 +1,6 @@
 package model
 
 import (
-	"fmt"
-
 	"repro/internal/coflow"
 	"repro/internal/lp"
 	"repro/internal/timegrid"
@@ -32,16 +30,16 @@ func BuildMultiPath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 	k := grid.NumSlots()
 
 	l.xp = make([][][]lp.VarID, len(l.flows))
-	l.capRow = rowTable(inst.Graph.NumEdges(), k)
+	l.capRow = idTable[lp.ConstrID](inst.Graph.NumEdges(), k)
 	for f, ref := range l.flows {
 		fl := inst.FlowAt(ref)
 		l.xp[f] = make([][]lp.VarID, k)
 		for t := l.first[f]; t < k; t++ {
 			pv := make([]lp.VarID, len(fl.AltPaths))
-			link := m.AddConstr(fmt.Sprintf("mp_f%d_t%d", f, t), lp.EQ, 0)
+			link := m.AddConstr("", lp.EQ, 0)
 			m.AddTerm(link, l.x[f][t], -1)
 			for pi, path := range fl.AltPaths {
-				pv[pi] = m.AddVar(fmt.Sprintf("xp_f%d_t%d_p%d", f, t, pi), 0, 1, 0)
+				pv[pi] = m.AddVar("", 0, 1, 0)
 				m.AddTerm(link, pv[pi], 1)
 				for _, eid := range path {
 					m.AddTerm(l.capacityRow(eid, t), pv[pi], fl.Demand)

@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/coflow"
@@ -120,15 +121,14 @@ func pinLP(t *testing.T, c pinCase) *LP {
 }
 
 // pinLine solves l as SolveWarm does and renders the pinned facts.
-func pinLine(t *testing.T, name string, l *LP, warm *lp.Basis) (string, *lp.Basis) {
-	t.Helper()
+func pinLine(name string, l *LP, warm *lp.Basis) (string, *lp.Basis, error) {
 	if warm == nil {
 		warm = l.GreedyBasis()
 	}
 	reg := obs.NewRegistry()
 	raw, err := l.Model.SolveWarm(context.Background(), simplex.Options{Obs: reg}, warm)
 	if err != nil {
-		t.Fatalf("%s: %v", name, err)
+		return "", nil, fmt.Errorf("%s: %w", name, err)
 	}
 	h := fnv.New64a()
 	var buf [8]byte
@@ -146,7 +146,38 @@ func pinLine(t *testing.T, name string, l *LP, warm *lp.Basis) (string, *lp.Basi
 	return fmt.Sprintf("%s rows=%d cols=%d nnz=%d status=%v warm=%v iters=%d refactor=%d perturb=%d obj=%016x x=%016x",
 		name, l.Model.NumConstrs(), l.Model.NumVars(), l.Model.NumNonzeros(), raw.Status, raw.WarmStart,
 		raw.Iterations(), c["simplex_refactorizations_total"], c["simplex_perturbations_total"],
-		math.Float64bits(raw.Obj), h.Sum64()), raw.Basis
+		math.Float64bits(raw.Obj), h.Sum64()), raw.Basis, nil
+}
+
+// pinLines solves the corpus in order, each warm case from the basis of
+// the case it names, and returns one line per case.
+func pinLines(cs []pinCase, lps []*LP) ([]string, error) {
+	bases := map[string]*lp.Basis{}
+	lines := make([]string, len(cs))
+	for i, c := range cs {
+		var warm *lp.Basis
+		if c.warmFrom != "" {
+			if warm = bases[c.warmFrom]; warm == nil {
+				return nil, fmt.Errorf("%s: no basis from %s", c.name, c.warmFrom)
+			}
+		}
+		line, basis, err := pinLine(c.name, lps[i], warm)
+		if err != nil {
+			return nil, err
+		}
+		bases[c.name], lines[i] = basis, line
+	}
+	return lines, nil
+}
+
+// pinCorpusLPs builds every relaxation of the corpus.
+func pinCorpusLPs(t *testing.T) ([]pinCase, []*LP) {
+	cs := pinCorpus()
+	lps := make([]*LP, len(cs))
+	for i, c := range cs {
+		lps[i] = pinLP(t, c)
+	}
+	return cs, lps
 }
 
 func TestPivotSequencePin(t *testing.T) {
@@ -161,25 +192,52 @@ func TestPivotSequencePin(t *testing.T) {
 			want[name] = line
 		}
 	}
-	bases := map[string]*lp.Basis{}
-	var got []string
-	for _, c := range pinCorpus() {
-		var warm *lp.Basis
-		if c.warmFrom != "" {
-			if warm = bases[c.warmFrom]; warm == nil {
-				t.Fatalf("%s: no basis from %s", c.name, c.warmFrom)
-			}
-		}
-		line, basis := pinLine(t, c.name, pinLP(t, c), warm)
-		bases[c.name] = basis
-		got = append(got, line)
-		if !update && line != want[c.name] {
-			t.Errorf("pivot sequence moved:\n got  %s\n want %s", line, want[c.name])
+	cs, lps := pinCorpusLPs(t)
+	got, err := pinLines(cs, lps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range got {
+		if name := cs[i].name; !update && line != want[name] {
+			t.Errorf("pivot sequence moved:\n got  %s\n want %s", line, want[name])
 		}
 	}
 	if update {
 		if err := os.WriteFile(filepath.FromSlash(pivotsGolden), []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestPivotSequencePinConcurrent solves the pin corpus from four
+// goroutines at once, on shared relaxations, while the solver's pooled
+// workspaces pass between them: every line must equal the serial one.
+func TestPivotSequencePinConcurrent(t *testing.T) {
+	cs, lps := pinCorpusLPs(t)
+	want, err := pinLines(cs, lps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	got := make([][]string, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w], errs[w] = pinLines(cs, lps)
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		if errs[w] != nil {
+			t.Fatalf("goroutine %d: %v", w, errs[w])
+		}
+		for i := range want {
+			if got[w][i] != want[i] {
+				t.Errorf("goroutine %d diverged from the serial solve:\n got  %s\n want %s", w, got[w][i], want[i])
+			}
 		}
 	}
 }

@@ -33,12 +33,15 @@ type basis struct {
 	supIdx   []int
 }
 
-func newBasis(m int) *basis {
-	return &basis{
-		m:      m,
-		lu:     lu.New(m),
-		etaPtr: []int{0},
+// reset readies b, or a new basis when b is nil, for m rows. Its LU
+// factorization and eta buffers are reused; the eta file is emptied by
+// the refactorization every solve starts with.
+func (b *basis) reset(m int) *basis {
+	if b == nil {
+		b = &basis{lu: lu.New(m)}
 	}
+	b.m = m
+	return b
 }
 
 // etaCount reports the number of eta updates since the last refactorization.
@@ -57,7 +60,7 @@ func (b *basis) refactor(cols *sparse.Matrix) error {
 	if err := b.lu.Factor(cols); err != nil {
 		return err
 	}
-	b.etaPtr = b.etaPtr[:1]
+	b.etaPtr = append(b.etaPtr[:0], 0)
 	b.etaRow = b.etaRow[:0]
 	b.etaIdx = b.etaIdx[:0]
 	b.etaVal = b.etaVal[:0]

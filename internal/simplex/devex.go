@@ -24,22 +24,27 @@ type devexTree struct {
 	gen   uint32
 }
 
-func newDevexTree(n int) *devexTree {
-	size := 2 // the root is node 1 even for a single column
-	for size < n {
-		size *= 2
+// reset readies t, or a new tree when t is nil, for n columns: the
+// leaves past n, which no column stores, hold −1/−1/0, and no node is
+// queued or stamped. The other nodes are stored and rebuilt before
+// their first read.
+func (t *devexTree) reset(n int) *devexTree {
+	if t == nil {
+		t = new(devexTree)
 	}
-	t := &devexTree{
-		size:  size,
-		score: make([]float64, 2*size),
-		best:  make([]int32, 2*size),
-		maxW:  make([]float64, 2*size),
-		stamp: make([]uint32, size),
-		gen:   1,
+	t.size = 2 // the root is node 1 even for a single column
+	for t.size < n {
+		t.size *= 2
 	}
-	for k := range t.score {
-		t.score[k], t.best[k] = -1, -1
+	t.score = resize(t.score, 2*t.size)
+	t.best = resize(t.best, 2*t.size)
+	t.maxW = resize(t.maxW, 2*t.size)
+	for k := t.size + n; k < 2*t.size; k++ {
+		t.score[k], t.best[k], t.maxW[k] = -1, -1, 0
 	}
+	t.stamp = zeroed(t.stamp, t.size)
+	t.gen = 1
+	t.queue, t.next = t.queue[:0], t.next[:0]
 	return t
 }
 

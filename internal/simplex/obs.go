@@ -69,7 +69,9 @@ func (s *solver) flushObs() {
 	// Add(0) still materializes the series, so scrapers can rely on the
 	// perturbation counter existing from the first solve.
 	reg.Counter("simplex_perturbations_total").Add(int64(s.nPerturb))
-	reg.Counter("lu_factorizations_total").Add(int64(s.bas.lu.Factors()))
+	// Every factorization of the solve is one of its refactorizations;
+	// the pooled lu.Factorization has factorized for earlier solves too.
+	reg.Counter("lu_factorizations_total").Add(int64(s.nRefactor))
 	reg.Gauge("lu_fill_nnz").Set(int64(s.bas.lu.LNnz() + s.bas.lu.UNnz()))
 	if s.warm != WarmNone {
 		reg.Counter(`simplex_warm_start_total{outcome="` + s.warm.String() + `"}`).Inc()

@@ -165,22 +165,11 @@ func singularBasisSolver() *solver {
 		L: []float64{0, 0},
 		U: []float64{10, 10},
 	}
-	s := &solver{
-		prob:    *p,
-		opt:     Options{}.withDefaults(2, 2),
-		m:       2,
-		n:       2,
-		total:   4,
-		cost:    make([]float64, 4),
-		state:   make([]int8, 4),
-		basisOf: []int{0, 1}, // both structural columns: singular basis
-		inRow:   []int{0, 1, -1, -1},
-		xB:      make([]float64, 2),
-		artSign: []float64{1, 1},
-		bas:     newBasis(2),
-		y:       make([]float64, 2),
-		v2:      make([]float64, 2),
-	}
+	s := new(solver)
+	s.reset(context.Background(), p, Options{})
+	copy(s.basisOf, []int{0, 1}) // both structural columns: singular basis
+	copy(s.inRow, []int{0, 1, -1, -1})
+	copy(s.artSign, []float64{1, 1})
 	s.state[0], s.state[1] = stBasic, stBasic
 	s.state[2], s.state[3] = stLower, stLower
 	return s

@@ -21,9 +21,14 @@
 //
 // The solver has one numerical configuration: the tolerance, the
 // refactorization interval and the smallest ratio-test pivot are
-// constants. Degenerate stalls get a bounded deterministic cost
-// perturbation, large cold starts a slack crash. A basis that fails to
-// refactorize is not repaired; Solve reports it as an error.
+// constants. Every cold start begins with a slack crash, and degenerate
+// stalls get a bounded deterministic cost perturbation. A basis that
+// fails to refactorize is not repaired; Solve reports it as an error.
+//
+// A solve allocates only its result. Its workspace (the dense vectors,
+// the row-major copy of A, the LU factorization, the eta file and the
+// pricing tree) comes from a pool and is reset for each problem to the
+// state a new one would have, so reuse never changes a pivot.
 package simplex
 
 import (
@@ -32,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/sparse"
@@ -67,7 +73,8 @@ func (s Status) String() string {
 	}
 }
 
-// Problem is a linear program in standard computational form.
+// Problem is a linear program in standard computational form. Solve
+// only reads it.
 type Problem struct {
 	A *sparse.Matrix // m×n constraint matrix
 	B []float64      // length m right-hand side
@@ -77,7 +84,7 @@ type Problem struct {
 }
 
 // Validate checks dimensional consistency, bound sanity, and that every
-// column of A lists its rows strictly ascending, as sparse.Builder
+// column of A lists its rows strictly ascending, as sparse.FromTriplets
 // produces them: the solver copies columns into the basis matrix as
 // they are and accumulates pivot rows by rows of A in ColDot's order.
 func (p *Problem) Validate() error {
@@ -302,69 +309,123 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	s := workspaces.Get().(*solver)
+	sol, err := s.solve(ctx, p, opt)
+	// A solve that panicked does not get here, so its half-updated
+	// workspace is dropped rather than reused.
+	workspaces.Put(s)
+	return sol, err
+}
+
+// workspaces holds idle solvers for reuse, at most about one per P
+// between solves.
+var workspaces = sync.Pool{New: func() any { return new(solver) }}
+
+// solve runs one solve of p on s, whatever s held before.
+func (s *solver) solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
+	s.reset(ctx, p, opt)
+	defer s.release()
+	return s.run()
+}
+
+// reset readies s to solve p as a new solver would: every scalar is
+// zero, every dense vector zero and sized for p, and the pricing tree
+// empty. The LU factors and the eta file stay until the refactorization
+// every solve starts with replaces them. The buffers s already holds
+// are reused when they are large enough.
+func (s *solver) reset(ctx context.Context, p *Problem, opt Options) {
 	m, n := p.A.Rows, p.A.Cols
-	s := &solver{
+	total := n + m
+	*s = solver{
 		prob:    *p,
 		opt:     opt.withDefaults(m, n),
 		ctx:     ctx,
 		m:       m,
 		n:       n,
-		total:   n + m,
-		cost:    make([]float64, n+m),
-		state:   make([]int8, n+m),
-		basisOf: make([]int, m),
-		inRow:   make([]int, n+m),
-		xB:      make([]float64, m),
-		artSign: make([]float64, m),
-		bas:     newBasis(m),
-		y:       make([]float64, m),
-		w:       make([]float64, m),
-		v2:      make([]float64, m),
-		rho:     make([]float64, m),
-		wIdx:    make([]int, 0, m),
-		rhoIdx:  make([]int, 0, m),
-		wMask:   make([]uint64, (m+63)/64),
-		rhoMask: make([]uint64, (m+63)/64),
-		ddw:     make([]float64, 2*(n+m)),
-		tree:    newDevexTree(n + m),
-		touched: make([]int32, 0, n+m),
-		stamp:   make([]int32, n+m),
-		arj:     make([]float64, n+m),
+		total:   total,
+		cost:    zeroed(s.cost, total),
+		state:   zeroed(s.state, total),
+		basisOf: zeroed(s.basisOf, m),
+		inRow:   zeroed(s.inRow, total),
+		xB:      zeroed(s.xB, m),
+		artSign: zeroed(s.artSign, m),
+		bas:     s.bas.reset(m),
+		bmat:    s.bmat,
+		y:       zeroed(s.y, m),
+		w:       zeroed(s.w, m),
+		v2:      zeroed(s.v2, m),
+		rho:     zeroed(s.rho, m),
+		wIdx:    s.wIdx[:0],
+		rhoIdx:  s.rhoIdx[:0],
+		wMask:   zeroed(s.wMask, (m+63)/64),
+		rhoMask: zeroed(s.rhoMask, (m+63)/64),
+		ddw:     zeroed(s.ddw, 2*total),
+		tree:    s.tree.reset(total),
+		rowPtr:  s.rowPtr,
+		rowCol:  s.rowCol,
+		rowVal:  s.rowVal,
+		arj:     zeroed(s.arj, total),
+		touched: s.touched[:0],
+		stamp:   zeroed(s.stamp, total),
+		// perturb sizes it to the costs it saves.
+		savedCost: s.savedCost,
 	}
 	s.buildCSR()
-	defer s.flushObs()
-	return s.run()
+}
+
+// release ends a solve: it flushes the solve's telemetry and drops the
+// references to the caller's problem, context and options, so an idle
+// workspace keeps none of them alive.
+func (s *solver) release() {
+	s.flushObs()
+	s.prob, s.opt, s.ctx = Problem{}, Options{}, nil
+}
+
+// resize returns v with length n, reusing its array when it is large
+// enough. The entries it keeps keep their values.
+func resize[T any](v []T, n int) []T {
+	if cap(v) < n {
+		return make([]T, n)
+	}
+	return v[:n]
+}
+
+// zeroed is resize with every entry zero.
+func zeroed[T any](v []T, n int) []T {
+	v = resize(v, n)
+	clear(v)
+	return v
 }
 
 // buildCSR builds the row-major view of A for the pivot-row update.
 func (s *solver) buildCSR() {
 	a := s.prob.A
-	nnz := a.Nnz()
-	s.rowPtr = make([]int32, s.m+1)
-	s.rowCol = make([]int32, nnz)
-	s.rowVal = make([]float64, nnz)
-	counts := make([]int32, s.m)
+	ptr := zeroed(s.rowPtr, s.m+1)
+	s.rowCol = resize(s.rowCol, a.Nnz())
+	s.rowVal = resize(s.rowVal, a.Nnz())
 	for _, i := range a.RowIdx {
-		counts[i]++
+		ptr[i+1]++
 	}
 	for i := 0; i < s.m; i++ {
-		s.rowPtr[i+1] = s.rowPtr[i] + counts[i]
+		ptr[i+1] += ptr[i]
 	}
-	next := make([]int32, s.m)
-	copy(next, s.rowPtr[:s.m])
 	// Column-major traversal fills each row's entries in ascending
 	// column order (not that exactness needs it: each column gets
-	// exactly one entry per row).
+	// exactly one entry per row), with ptr[i] as row i's next free slot;
+	// the shift then restores the row starts.
 	for j := 0; j < a.Cols; j++ {
 		lo, hi := a.ColPtr[j], a.ColPtr[j+1]
 		for k := lo; k < hi; k++ {
 			i := a.RowIdx[k]
-			p := next[i]
+			p := ptr[i]
 			s.rowCol[p] = int32(j)
 			s.rowVal[p] = a.Val[k]
-			next[i] = p + 1
+			ptr[i] = p + 1
 		}
 	}
+	copy(ptr[1:], ptr[:s.m])
+	ptr[0] = 0
+	s.rowPtr = ptr
 }
 
 // value returns the current value of a nonbasic variable.
@@ -683,8 +744,8 @@ func (s *solver) installArtificialBasis() {
 // basisMatrix assembles the current basis columns into the m×m CSC
 // matrix the LU factorization reads, reusing the solver's buffers.
 // Columns of A are already sorted and duplicate-free (Validate), so a
-// straight copy that drops explicit zeros is the matrix sparse.Builder
-// would build from them.
+// straight copy that drops explicit zeros is the matrix
+// sparse.FromTriplets would build from them.
 func (s *solver) basisMatrix() *sparse.Matrix {
 	bm := &s.bmat
 	bm.Rows, bm.Cols = s.m, s.m
@@ -1013,10 +1074,7 @@ func (s *solver) perturb() {
 	if s.perturbed {
 		copy(s.cost, s.savedCost) // escalate from the true costs
 	} else {
-		if s.savedCost == nil {
-			s.savedCost = make([]float64, len(s.cost))
-		}
-		copy(s.savedCost, s.cost)
+		s.savedCost = append(s.savedCost[:0], s.cost...)
 		s.perturbed = true
 	}
 	s.nPerturb++

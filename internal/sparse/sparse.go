@@ -11,14 +11,13 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 )
 
 // Matrix is an immutable sparse matrix in compressed sparse column
 // (CSC) form. Row indices within a column are not required to be
-// sorted unless stated otherwise; use SortColumns when order matters.
+// sorted unless stated otherwise; FromTriplets and Builder sort them.
 type Matrix struct {
 	Rows, Cols int
 	ColPtr     []int     // length Cols+1
@@ -50,17 +49,6 @@ func (m *Matrix) At(i, j int) float64 {
 		}
 	}
 	return sum
-}
-
-// SortColumns sorts row indices within every column in increasing
-// order, keeping values aligned.
-func (m *Matrix) SortColumns() {
-	var col columnSorter // one heap allocation, not one per column
-	for j := 0; j < m.Cols; j++ {
-		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-		col.idx, col.val = m.RowIdx[lo:hi], m.Val[lo:hi]
-		sort.Sort(&col)
-	}
 }
 
 type columnSorter struct {
@@ -156,7 +144,7 @@ func (m *Matrix) String() string {
 // (i, j) entries are summed.
 type Builder struct {
 	rows, cols int
-	is, js     []int
+	is, js     []int32
 	vs         []float64
 }
 
@@ -173,72 +161,96 @@ func (b *Builder) Add(i, j int, v float64) {
 	if v == 0 {
 		return
 	}
-	b.is = append(b.is, i)
-	b.js = append(b.js, j)
+	b.is = append(b.is, int32(i))
+	b.js = append(b.js, int32(j))
 	b.vs = append(b.vs, v)
-}
-
-// Grow reserves room for n more triplets, so a caller that knows its
-// entry count fills the builder without reallocating.
-func (b *Builder) Grow(n int) {
-	b.is = slices.Grow(b.is, n)
-	b.js = slices.Grow(b.js, n)
-	b.vs = slices.Grow(b.vs, n)
 }
 
 // Nnz reports the number of accumulated triplets (before duplicate merging).
 func (b *Builder) Nnz() int { return len(b.is) }
 
-// Build produces the CSC matrix. Duplicates are summed; entries that
-// cancel to exactly zero are kept (harmless) to retain the pattern.
-// Row indices within each column come out sorted.
+// Build produces the CSC matrix of the accumulated triplets (see
+// FromTriplets).
 func (b *Builder) Build() *Matrix {
-	m := &Matrix{Rows: b.rows, Cols: b.cols, ColPtr: make([]int, b.cols+1)}
-	// Count entries per column.
-	counts := make([]int, b.cols)
-	for _, j := range b.js {
-		counts[j]++
+	return FromTriplets(b.rows, b.cols, b.is, b.js, b.vs, nil)
+}
+
+// shortColumn is the longest column FromTriplets orders by insertion
+// sort; longer ones go through sort.Stable.
+const shortColumn = 32
+
+// FromTriplets assembles the CSC matrix whose first cols columns hold
+// the entries a[is[k], js[k]] += vs[k], followed by one unit column e_i
+// per row i of units (the slack columns of a standard form). Duplicates
+// are summed in triplet order; entries that cancel to exactly zero are
+// kept to retain the pattern. Row indices within each column come out
+// ascending. The triplets are read in place: a counting sort by column
+// scatters them straight into the matrix's own arrays.
+func FromTriplets(rows, cols int, is, js []int32, vs []float64, units []int32) *Matrix {
+	total, nnz := cols+len(units), len(vs)+len(units)
+	m := &Matrix{
+		Rows:   rows,
+		Cols:   total,
+		ColPtr: make([]int, total+1),
+		RowIdx: make([]int, nnz),
+		Val:    make([]float64, nnz),
 	}
-	for j := 0; j < b.cols; j++ {
-		m.ColPtr[j+1] = m.ColPtr[j] + counts[j]
+	ptr := m.ColPtr
+	for _, j := range js {
+		ptr[j+1]++
 	}
-	nnz := m.ColPtr[b.cols]
-	m.RowIdx = make([]int, nnz)
-	m.Val = make([]float64, nnz)
-	next := make([]int, b.cols)
-	copy(next, m.ColPtr[:b.cols])
-	for k := range b.is {
-		j := b.js[k]
-		p := next[j]
-		m.RowIdx[p] = b.is[k]
-		m.Val[p] = b.vs[k]
-		next[j]++
+	for j := 0; j < cols; j++ {
+		ptr[j+1] += ptr[j]
 	}
-	m.SortColumns()
-	// Merge duplicates in place.
-	writePtr := 0
-	newColPtr := make([]int, b.cols+1)
-	for j := 0; j < b.cols; j++ {
-		newColPtr[j] = writePtr
-		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
+	// Scatter with ptr[j] as column j's next free slot; afterwards it
+	// holds the column's end, and the shift restores the starts.
+	for k, j := range js {
+		p := ptr[j]
+		m.RowIdx[p], m.Val[p] = int(is[k]), vs[k]
+		ptr[j] = p + 1
+	}
+	copy(ptr[1:cols+1], ptr[:cols])
+	ptr[0] = 0
+	for t, i := range units {
+		p := len(vs) + t
+		m.RowIdx[p], m.Val[p] = int(i), 1
+		ptr[cols+t+1] = p + 1
+	}
+	// Order each column's rows stably, then merge duplicates in place.
+	w := 0
+	for j := 0; j < total; j++ {
+		lo, hi := ptr[j], ptr[j+1]
+		m.sortColumn(lo, hi)
+		ptr[j] = w
 		for k := lo; k < hi; {
-			i := m.RowIdx[k]
-			v := m.Val[k]
-			k++
-			for k < hi && m.RowIdx[k] == i {
+			i, v := m.RowIdx[k], m.Val[k]
+			for k++; k < hi && m.RowIdx[k] == i; k++ {
 				v += m.Val[k]
-				k++
 			}
-			m.RowIdx[writePtr] = i
-			m.Val[writePtr] = v
-			writePtr++
+			m.RowIdx[w], m.Val[w] = i, v
+			w++
 		}
 	}
-	newColPtr[b.cols] = writePtr
-	m.ColPtr = newColPtr
-	m.RowIdx = m.RowIdx[:writePtr]
-	m.Val = m.Val[:writePtr]
+	ptr[total] = w
+	m.RowIdx, m.Val = m.RowIdx[:w], m.Val[:w]
 	return m
+}
+
+// sortColumn orders entries lo..hi-1 by row, keeping equal rows in
+// their original order.
+func (m *Matrix) sortColumn(lo, hi int) {
+	if hi-lo > shortColumn {
+		sort.Stable(columnSorter{m.RowIdx[lo:hi], m.Val[lo:hi]})
+		return
+	}
+	for k := lo + 1; k < hi; k++ {
+		i, v := m.RowIdx[k], m.Val[k]
+		p := k
+		for ; p > lo && m.RowIdx[p-1] > i; p-- {
+			m.RowIdx[p], m.Val[p] = m.RowIdx[p-1], m.Val[p-1]
+		}
+		m.RowIdx[p], m.Val[p] = i, v
+	}
 }
 
 // Identity returns the n×n identity matrix in CSC form.
