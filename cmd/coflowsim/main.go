@@ -447,7 +447,9 @@ func runBench(ctx context.Context, tier, out, baseline string, tol float64, seed
 	for _, r := range regs {
 		fmt.Fprintln(os.Stderr, "bench: REGRESSION", r)
 	}
-	return fmt.Errorf("%d benchmark regression(s) beyond %.0f%%", len(regs), tol*100)
+	return fmt.Errorf("%d benchmark regression(s) beyond %.0f%% vs %s; a baseline measured on other hardware "+
+		"rejects a slower machine, so to regenerate it run -bench -bench-out <file> on a checkout of the parent commit "+
+		"on this machine, then -bench -bench-baseline <file> -bench-out %s here", len(regs), tol*100, baseline, out)
 }
 
 func runFigures(ctx context.Context, figSpec string, cfg experiments.Config, csvDir string) error {

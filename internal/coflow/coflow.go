@@ -327,8 +327,10 @@ func (in *Instance) AssignKShortestPaths(k int) error {
 // AssignRandomShortestPaths fills in Path for every flow by sampling a
 // uniformly random shortest path, the paper's convention for the
 // single path model experiments ("we randomly select one of the
-// shortest paths"). Flows that already have a path keep it.
+// shortest paths"). Flows that already have a path keep it. The draws
+// share one graph.PathSampler, so each distinct source costs one BFS.
 func (in *Instance) AssignRandomShortestPaths(rng *rand.Rand) error {
+	ps := graph.NewPathSampler(in.Graph)
 	for ci := range in.Coflows {
 		c := &in.Coflows[ci]
 		for fi := range c.Flows {
@@ -336,7 +338,7 @@ func (in *Instance) AssignRandomShortestPaths(rng *rand.Rand) error {
 			if len(f.Path) > 0 {
 				continue
 			}
-			p := in.Graph.RandomShortestPath(rng, f.Source, f.Sink)
+			p := ps.Sample(rng, f.Source, f.Sink)
 			if p == nil {
 				return fmt.Errorf("coflow %d flow %d: no path from %s to %s",
 					c.ID, fi, in.Graph.NodeName(f.Source), in.Graph.NodeName(f.Sink))

@@ -161,25 +161,32 @@ func (g *Graph) ValidatePath(s, t NodeID, path []EdgeID) error {
 	return nil
 }
 
-// bfsDist computes hop distances from s (-1 when unreachable).
-func (g *Graph) bfsDist(s NodeID) []int {
-	dist := make([]int, g.NumNodes())
+// bfs fills dist with hop distances from s (-1 when unreachable) and
+// returns the reached nodes in visit order, which never decreases in
+// distance. order's backing array is reused as the queue.
+func (g *Graph) bfs(s NodeID, dist []int, order []NodeID) []NodeID {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[s] = 0
-	queue := []NodeID{s}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	order = append(order[:0], s)
+	for k := 0; k < len(order); k++ {
+		v := order[k]
 		for _, eid := range g.out[v] {
 			w := g.edges[eid].To
 			if dist[w] < 0 {
 				dist[w] = dist[v] + 1
-				queue = append(queue, w)
+				order = append(order, w)
 			}
 		}
 	}
+	return order
+}
+
+// bfsDist computes hop distances from s (-1 when unreachable).
+func (g *Graph) bfsDist(s NodeID) []int {
+	dist := make([]int, g.NumNodes())
+	g.bfs(s, dist, nil)
 	return dist
 }
 
@@ -219,28 +226,51 @@ func (g *Graph) ShortestPath(s, t NodeID) []EdgeID {
 // RandomShortestPath returns a uniformly random shortest s→t path
 // (by hop count), the convention the paper uses to assign paths in the
 // single path model ("we randomly select one of the shortest paths").
-// Returns nil when t is unreachable.
+// Returns nil when t is unreachable. It is a one-draw PathSampler;
+// callers drawing many paths should keep one sampler instead.
 func (g *Graph) RandomShortestPath(rng *rand.Rand, s, t NodeID) []EdgeID {
-	dist := g.bfsDist(s)
-	if dist[t] < 0 {
-		return nil
+	return NewPathSampler(g).Sample(rng, s, t)
+}
+
+// PathSampler draws uniformly random shortest paths, as
+// RandomShortestPath does, from per-source tables: a source's hop
+// distances and shortest-path counts are computed on its first draw
+// and kept, so later draws from that source only walk back from the
+// sink. The tables cost 16 bytes per node for each distinct source
+// drawn from. A sampler is not safe for concurrent use.
+type PathSampler struct {
+	g *Graph
+	// dist[s] and count[s] are source s's tables, nil until its first
+	// draw: dist[s][v] is the hop distance s→v (-1 when unreachable)
+	// and count[s][v] the number of shortest s→v paths (float64:
+	// counts can be exponential in general graphs, only ratios
+	// matter here).
+	dist  [][]int
+	count [][]float64
+	order []NodeID // BFS scratch
+}
+
+// NewPathSampler returns a sampler over g. g must not change while
+// the sampler is in use.
+func NewPathSampler(g *Graph) *PathSampler {
+	n := g.NumNodes()
+	return &PathSampler{g: g, dist: make([][]int, n), count: make([][]float64, n)}
+}
+
+// tables returns source s's distance and path-count tables, building
+// them on first use. The counts accumulate in BFS visit order, which
+// never decreases in distance, so every predecessor's count is final
+// before it is added.
+func (ps *PathSampler) tables(s NodeID) ([]int, []float64) {
+	if ps.dist[s] != nil {
+		return ps.dist[s], ps.count[s]
 	}
-	// count[v] = number of shortest s→v paths (float64: counts can be
-	// exponential in general graphs, only ratios matter here).
-	order := make([]NodeID, 0, g.NumNodes())
-	for v := NodeID(0); v < NodeID(g.NumNodes()); v++ {
-		if dist[v] >= 0 {
-			order = append(order, v)
-		}
-	}
-	// Process in increasing distance.
-	sortByDist(order, dist)
+	g := ps.g
+	dist := make([]int, g.NumNodes())
 	count := make([]float64, g.NumNodes())
+	ps.order = g.bfs(s, dist, ps.order)
 	count[s] = 1
-	for _, v := range order {
-		if v == s {
-			continue
-		}
+	for _, v := range ps.order[1:] {
 		for _, eid := range g.in[v] {
 			e := g.edges[eid]
 			if dist[e.From] == dist[v]-1 {
@@ -248,10 +278,24 @@ func (g *Graph) RandomShortestPath(rng *rand.Rand, s, t NodeID) []EdgeID {
 			}
 		}
 	}
-	// Sample backward from t proportionally to predecessor counts.
-	path := make([]EdgeID, 0, dist[t])
+	ps.dist[s], ps.count[s] = dist, count
+	return dist, count
+}
+
+// Sample returns a uniformly random shortest s→t path, or nil when t
+// is unreachable from s. It draws one rng.Float64 per hop, walking
+// back from t and picking each predecessor in proportion to its
+// shortest-path count; the returned path is its only allocation once
+// s's tables exist.
+func (ps *PathSampler) Sample(rng *rand.Rand, s, t NodeID) []EdgeID {
+	g := ps.g
+	dist, count := ps.tables(s)
+	if dist[t] < 0 {
+		return nil
+	}
+	path := make([]EdgeID, dist[t])
 	cur := t
-	for cur != s {
+	for k := len(path) - 1; k >= 0; k-- {
 		var total float64
 		for _, eid := range g.in[cur] {
 			e := g.edges[eid]
@@ -271,20 +315,10 @@ func (g *Graph) RandomShortestPath(rng *rand.Rand, s, t NodeID) []EdgeID {
 				}
 			}
 		}
-		path = append(path, chosen)
+		path[k] = chosen
 		cur = g.edges[chosen].From
 	}
-	reverse(path)
 	return path
-}
-
-func sortByDist(order []NodeID, dist []int) {
-	// Insertion sort: orders are tiny (#nodes in WAN topologies).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && dist[order[j-1]] > dist[order[j]]; j-- {
-			order[j-1], order[j] = order[j], order[j-1]
-		}
-	}
 }
 
 func reverse(p []EdgeID) {

@@ -286,3 +286,68 @@ func TestRandomShortestPathUnreachable(t *testing.T) {
 		t.Fatal("expected nil path for unreachable pair")
 	}
 }
+
+// RandomShortestPathReference is RandomShortestPath as it was before
+// PathSampler: per call one BFS, one shortest-path count table built
+// in a distance-sorted node order, a backward walk and a reverse. It
+// is the oracle TestPathSamplerMatchesReference holds the sampler to,
+// exported to that test because it lives in package graph_test (it
+// imports internal/topo, which imports this package).
+func RandomShortestPathReference(g *Graph, rng *rand.Rand, s, t NodeID) []EdgeID {
+	dist := g.bfsDist(s)
+	if dist[t] < 0 {
+		return nil
+	}
+	order := make([]NodeID, 0, g.NumNodes())
+	for v := NodeID(0); v < NodeID(g.NumNodes()); v++ {
+		if dist[v] >= 0 {
+			order = append(order, v)
+		}
+	}
+	// Insertion sort by distance, stable in node id.
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && dist[order[j-1]] > dist[order[j]]; j-- {
+			order[j-1], order[j] = order[j], order[j-1]
+		}
+	}
+	count := make([]float64, g.NumNodes())
+	count[s] = 1
+	for _, v := range order {
+		if v == s {
+			continue
+		}
+		for _, eid := range g.in[v] {
+			e := g.edges[eid]
+			if dist[e.From] == dist[v]-1 {
+				count[v] += count[e.From]
+			}
+		}
+	}
+	path := make([]EdgeID, 0, dist[t])
+	cur := t
+	for cur != s {
+		var total float64
+		for _, eid := range g.in[cur] {
+			e := g.edges[eid]
+			if dist[e.From] == dist[cur]-1 {
+				total += count[e.From]
+			}
+		}
+		r := rng.Float64() * total
+		var chosen EdgeID = -1
+		for _, eid := range g.in[cur] {
+			e := g.edges[eid]
+			if dist[e.From] == dist[cur]-1 {
+				r -= count[e.From]
+				chosen = eid
+				if r <= 0 {
+					break
+				}
+			}
+		}
+		path = append(path, chosen)
+		cur = g.edges[chosen].From
+	}
+	reverse(path)
+	return path
+}

@@ -185,10 +185,10 @@ type parsedTerm struct {
 
 // parseTerms parses "[±] [coef] [*] name ..." sequences.
 func parseTerms(s string, getVar func(string) VarID) ([]parsedTerm, error) {
-	s = strings.ReplaceAll(s, "*", " ")
-	s = strings.ReplaceAll(s, "+", " + ")
-	s = strings.ReplaceAll(s, "-", " - ")
-	fields := strings.Fields(s)
+	var fields []string
+	for _, f := range strings.Fields(strings.ReplaceAll(s, "*", " ")) {
+		fields = splitSigns(f, fields)
+	}
 	var out []parsedTerm
 	signVal := 1.0
 	coef := math.NaN() // NaN = not seen
@@ -218,6 +218,50 @@ func parseTerms(s string, getVar func(string) VarID) ([]parsedTerm, error) {
 		return nil, fmt.Errorf("dangling number %g", coef)
 	}
 	return out, nil
+}
+
+// splitSigns appends the pieces of the blank-free field f to fields:
+// every '+' and '-' is a piece of its own, except the sign of a
+// number's exponent (the 1e-05 WriteLP prints), which stays inside the
+// number.
+func splitSigns(f string, fields []string) []string {
+	start := 0
+	for i := 0; i < len(f); i++ {
+		if (f[i] != '+' && f[i] != '-') || isMantissaE(f[start:i]) {
+			continue
+		}
+		if i > start {
+			fields = append(fields, f[start:i])
+		}
+		fields = append(fields, f[i:i+1])
+		start = i + 1
+	}
+	if start < len(f) {
+		fields = append(fields, f[start:])
+	}
+	return fields
+}
+
+// isMantissaE reports whether s is a decimal mantissa followed by 'e'
+// or 'E', such as "1e" or "2.5E": a sign after it belongs to the
+// exponent. A name such as "x1e" or "e" is no mantissa.
+func isMantissaE(s string) bool {
+	n := len(s)
+	if n < 2 || (s[n-1] != 'e' && s[n-1] != 'E') {
+		return false
+	}
+	digits, dot := false, false
+	for _, c := range s[:n-1] {
+		switch {
+		case c >= '0' && c <= '9':
+			digits = true
+		case c == '.' && !dot:
+			dot = true
+		default:
+			return false
+		}
+	}
+	return digits
 }
 
 // parseConstraintOrBound handles "name: expr OP rhs", "expr OP rhs",

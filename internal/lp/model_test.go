@@ -238,6 +238,57 @@ free z;
 	}
 }
 
+// TestParseLPExponentRoundTrip writes a model whose coefficients,
+// right-hand sides and bounds print in exponent form (1e-05, 2e+07),
+// next to variables named like exponents (e1, x1e): parsing it back
+// must give the same model, which writes the same text, with the same
+// optimum.
+func TestParseLPExponentRoundTrip(t *testing.T) {
+	m := NewModel("exp")
+	x0 := m.AddVar("x0", 0, 1e6, -1e-5)
+	e1 := m.AddVar("e1", 0, math.Inf(1), 1e-5)
+	x1e := m.AddVar("x1e", 0, math.Inf(1), 3e7)
+	r1 := m.AddConstr("r1", LE, 2e7)
+	m.AddTerm(r1, x0, 1e-5)
+	r2 := m.AddConstr("r2", GE, 1e-3)
+	m.AddTerm(r2, e1, 1)
+	m.AddTerm(r2, x1e, 2.5e-7)
+	var sb strings.Builder
+	if err := WriteLP(&sb, m); err != nil {
+		t.Fatal(err)
+	}
+	text := sb.String()
+	for _, num := range []string{"-1e-05 x0", "1e-05 x0", "2e+07", "2.5e-07 x1e", "1e+06"} {
+		if !strings.Contains(text, num) {
+			t.Fatalf("written model lacks %q:\n%s", num, text)
+		}
+	}
+	parsed, err := ParseLP(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("parse: %v\n%s", err, text)
+	}
+	if parsed.NumVars() != 3 || parsed.NumConstrs() != 2 {
+		t.Fatalf("parsed %d variables and %d rows, want 3 and 2\n%s", parsed.NumVars(), parsed.NumConstrs(), text)
+	}
+	var sb2 strings.Builder
+	if err := WriteLP(&sb2, parsed); err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := strings.Cut(text, "\n")
+	_, body2, _ := strings.Cut(sb2.String(), "\n")
+	if body2 != body {
+		t.Fatalf("re-written model differs:\n%s\nwant\n%s", body2, body)
+	}
+	sol, err := parsed.Solve(context.Background(), simplex.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// x0 at its bound gives -10; r2 is covered by e1 at 1e-05 per unit.
+	if want := -10 + 1e-8; sol.Status != simplex.Optimal || math.Abs(sol.Obj-want) > 1e-9*math.Abs(want) {
+		t.Fatalf("status %v, optimum %v, want %v", sol.Status, sol.Obj, want)
+	}
+}
+
 func TestParseLPReversedRelation(t *testing.T) {
 	m, err := ParseLP(strings.NewReader("min: x;\nc: 4 <= x + y;\n"))
 	if err != nil {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"repro/internal/coflow"
 	"repro/internal/graph"
 )
@@ -63,9 +65,85 @@ type Alloc struct {
 	// anyway; since remaining only decreases within a run, a flow that
 	// fails the filter once fails it forever, so the scans compact it
 	// out of live[j] permanently instead of re-testing it every event.
-	// The lists only shrink, in place, over the shared liveBuf backing.
+	// The lists only shrink, in place, over the shared liveBuf backing,
+	// and every shrink goes through shrinkLive.
 	live    [][]int32
 	liveBuf []int32
+
+	// Edge buckets for PriorityRates' blocked-coflow skip, built with
+	// the path index. Every flow crosses its first and its last edge,
+	// so a coflow is blocked when the first edges of all its live flows
+	// are saturated, or their last edges all are. first buckets the
+	// edges that are some flow's first edge, last the last edges, and
+	// masks[j] holds the buckets of coflow j's live flows. shrinkLive
+	// keeps the masks tight; a stale superset would stay sound, but
+	// would skip less.
+	first, last edgeBuckets
+	masks       []bucketMask
+}
+
+// bucketMask is one coflow's first- and last-edge bucket bits.
+type bucketMask struct{ first, last uint64 }
+
+// edgeBuckets spreads one end's edges, the first edges of all paths or
+// the last, over 64 buckets: edge e's bucket of[e] is its rank among
+// those edges in edge-ID order, mod 64 (-1 when e ends no path).
+// base[b] counts bucket b's edges with capacity > eps, and sat0 has a
+// bit set for each bucket without one.
+type edgeBuckets struct {
+	of   []int8
+	base [64]int32
+	sat0 uint64
+}
+
+// build buckets the edges end(f) returns for the flows f < flows.
+func (eb *edgeBuckets) build(g *graph.Graph, flows int, end func(f int) graph.EdgeID) {
+	ne := g.NumEdges()
+	eb.of = slices.Grow(eb.of[:0], ne)[:ne]
+	for e := range eb.of {
+		eb.of[e] = -1
+	}
+	for f := 0; f < flows; f++ {
+		eb.of[end(f)] = 0 // an end; ranked below
+	}
+	eb.base, eb.sat0 = [64]int32{}, 0
+	n := 0
+	for _, e := range g.Edges() {
+		if eb.of[e.ID] < 0 {
+			continue
+		}
+		b := n % 64
+		eb.of[e.ID] = int8(b)
+		n++
+		if e.Capacity > eps {
+			eb.base[b]++
+		}
+	}
+	for b, c := range eb.base {
+		if c == 0 {
+			eb.sat0 |= 1 << b
+		}
+	}
+}
+
+// bucketFill is one PriorityRates call's view of an edgeBuckets: the
+// unsaturated edges left per bucket, and the buckets with none left.
+type bucketFill struct {
+	left [64]int32
+	sat  uint64
+}
+
+func (eb *edgeBuckets) fill() bucketFill { return bucketFill{eb.base, eb.sat0} }
+
+// saturate records the first saturation of an edge in bucket b (-1:
+// an edge in no bucket).
+func (bf *bucketFill) saturate(b int8) {
+	if b < 0 {
+		return
+	}
+	if bf.left[b]--; bf.left[b] == 0 {
+		bf.sat |= 1 << b
+	}
 }
 
 // Reset clears the entries, keeping the buffers.
@@ -138,4 +216,33 @@ func (a *Alloc) ensurePaths(inst *coflow.Instance) {
 		}
 		a.live = append(a.live, lv)
 	}
+	// Paths are non-empty: the single path model requires one.
+	a.first.build(inst.Graph, int(total), func(f int) graph.EdgeID { return a.pathEdges[a.pathOff[f]] })
+	a.last.build(inst.Graph, int(total), func(f int) graph.EdgeID { return a.pathEdges[a.pathOff[f+1]-1] })
+	a.masks = slices.Grow(a.masks[:0], nc)[:nc]
+	for j := range a.live {
+		a.setMask(j)
+	}
+}
+
+// setMask recomputes coflow j's bucket masks from live[j].
+func (a *Alloc) setMask(j int) {
+	var m bucketMask
+	fb := a.flowBase[j]
+	for _, i := range a.live[j] {
+		fi := fb + i
+		m.first |= 1 << a.first.of[a.pathEdges[a.pathOff[fi]]]
+		m.last |= 1 << a.last.of[a.pathEdges[a.pathOff[fi+1]-1]]
+	}
+	a.masks[j] = m
+}
+
+// shrinkLive keeps the first w entries of live[j], which the caller
+// has compacted in place, and refreshes j's masks when flows left.
+func (a *Alloc) shrinkLive(j, w int) {
+	if w == len(a.live[j]) {
+		return
+	}
+	a.live[j] = a.live[j][:w]
+	a.setMask(j)
 }

@@ -101,23 +101,34 @@ func New(name string, opt Options) (Policy, error) {
 // allocation is work-conserving. Coflows in the order that are
 // finished or absent are skipped, so stale cached orders are safe.
 // The water-filling scratch lives in out and is restored edge by edge
-// after the walk, so a call costs O(order·flows·path) regardless of
-// the network size — and once every edge is saturated the walk stops
-// early (no later coflow could be granted anything), which bounds the
-// cost by the network capacity rather than the backlog length when
-// the system is overloaded.
+// after the walk, so a call costs O(order + visited flows·path)
+// regardless of the network size.
+//
+// Under a deep backlog most of the order is blocked. A coflow whose
+// live flows all start on saturated edges, or all end on saturated
+// edges, can be granted nothing, and the walk skips it without
+// visiting its flows, by the edge buckets in out (see Alloc). A bucket
+// counts as saturated only once all its edges are, so the skip is
+// exact: the rates are those of the plain walk. With at most 64
+// distinct first (last) edges each bucket holds one edge and every
+// such coflow is skipped; with more, shared buckets miss some. Once
+// every edge is saturated the walk stops.
 func PriorityRates(st *State, order []int, out *Alloc) {
 	g := st.Inst.Graph
 	out.ensureScratch(g)
 	out.ensurePaths(st.Inst)
 	residual := out.residual
 	pe, pathOff, flowBase := out.pathEdges, out.pathOff, out.flowBase
+	first, last := out.first.fill(), out.last.fill()
 	sat := out.satBase // edges with no usable residual capacity
 	ne := g.NumEdges()
 	horizon := st.Now + eps
 	for _, j := range order {
 		if sat >= ne {
 			break
+		}
+		if m := out.masks[j]; m.first&^first.sat == 0 || m.last&^last.sat == 0 {
+			continue // blocked: no live flow can be granted anything
 		}
 		rem, rel := st.Remaining[j], st.effRel[j]
 		fb := flowBase[j]
@@ -148,17 +159,20 @@ func PriorityRates(st *State, order []int, out *Alloc) {
 			}
 			out.Grant(j, i, r)
 			for k := lo; k < hi; k++ {
-				// Every edge on a granted path had residual ≥ r > eps,
-				// so crossing eps here is this edge's first saturation.
+				// Count e's first saturation once, even on a path that
+				// repeats e.
 				e := pe[k]
-				residual[e] -= r
-				if residual[e] <= eps {
-					sat++
-				}
+				before := residual[e]
+				residual[e] = before - r
 				out.dirty = append(out.dirty, e)
+				if before > eps && residual[e] <= eps {
+					sat++
+					first.saturate(out.first.of[e])
+					last.saturate(out.last.of[e])
+				}
 			}
 		}
-		out.live[j] = lv[:w]
+		out.shrinkLive(j, w)
 	}
 	for _, e := range out.dirty {
 		residual[e] = out.caps[e]
@@ -417,7 +431,7 @@ func (p *fairPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
 			}
 			p.live = append(p.live, liveFlow{j: int32(j), i: i32, fi: fb + i32})
 		}
-		out.live[j] = lv[:w]
+		out.shrinkLive(j, w)
 	}
 	live := p.live
 	used := p.used[:0]

@@ -19,6 +19,7 @@ package sim
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/coflow"
@@ -164,5 +165,73 @@ func TestDifferentialIncrementalPoliciesSeedSweep(t *testing.T) {
 				diffPolicyCompare(t, in, opt, dp.ref(), dp.tol)
 			}
 		})
+	}
+}
+
+// plainWalkCheck wraps a policy that water-fills a cached priority
+// order: after every Allocate it recomputes the rates from that order
+// with priorityRatesReference and fails unless the entries are equal
+// bit for bit.
+type plainWalkCheck struct {
+	Policy
+	t     *testing.T
+	calls int
+}
+
+func (p *plainWalkCheck) Allocate(ctx context.Context, st *State, out *Alloc) error {
+	if err := p.Policy.Allocate(ctx, st, out); err != nil {
+		return err
+	}
+	var order []int
+	switch q := p.Policy.(type) {
+	case *fifoPolicy:
+		order = q.order
+	case *lasPolicy:
+		order = q.order
+	case *sincroniaOnline:
+		order = q.order
+	case *epochAdapter:
+		order = q.order
+	default:
+		p.t.Fatalf("policy %s keeps no priority order", p.Name())
+	}
+	want := priorityRatesReference(st, order)
+	if len(out.Entries) != len(want) {
+		p.t.Fatalf("%s at t=%v: %d entries, plain walk %d", p.Name(), st.Now, len(out.Entries), len(want))
+	}
+	for k, w := range want {
+		g := out.Entries[k]
+		if g.Coflow != w.Coflow || g.Flow != w.Flow || math.Float64bits(g.Rate) != math.Float64bits(w.Rate) {
+			p.t.Fatalf("%s at t=%v: entry %d is %+v, plain walk %+v", p.Name(), st.Now, k, g, w)
+		}
+	}
+	p.calls++
+	return nil
+}
+
+// TestPriorityRatesMatchesPlainWalk holds every policy that water-fills
+// a priority order to the plain walk at every event. The fabrics with
+// more than 64 hosts share edges between buckets, so there a bucket
+// must not count as saturated before all its edges are.
+func TestPriorityRatesMatchesPlainWalk(t *testing.T) {
+	topos := append(slices.Clone(differentialTopos), "fat-tree:k=8", "big-switch:n=100")
+	for _, name := range []string{NameFIFO, NameLAS, NameSincroniaOnline, "epoch:sincronia-greedy"} {
+		for ti, spec := range topos {
+			t.Run(name+"/"+spec, func(t *testing.T) {
+				t.Parallel()
+				seed := int64(stats.SubSeed(229, uint64(ti)))
+				in := differentialInstance(t, spec, 60, seed)
+				opt := Options{Policy: name, Epoch: 2, Seed: seed}
+				pol, err := New(name, opt.Normalize())
+				if err != nil {
+					t.Fatal(err)
+				}
+				check := &plainWalkCheck{Policy: pol, t: t}
+				res := runPolicy(t, in, opt, check)
+				if check.calls == 0 || check.calls > res.Events {
+					t.Fatalf("%d checked calls over %d events", check.calls, res.Events)
+				}
+			})
+		}
 	}
 }

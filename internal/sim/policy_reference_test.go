@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -16,6 +17,41 @@ import (
 // implementations on every topology family: las bit-identical, fair to
 // the same event sequence with times within 1e-9 relative. Both live
 // in test files, so the shipped package carries only the fast path.
+
+// priorityRatesReference is the plain strict water-filling walk that
+// PriorityRates must reproduce: every flow of every coflow in the
+// order, in order, with no scratch, no blocked-coflow skip and no
+// early exit. Each available flow gets the least residual along its
+// path when that exceeds eps.
+func priorityRatesReference(st *State, order []int) []FlowRate {
+	g := st.Inst.Graph
+	residual := make([]float64, g.NumEdges())
+	for _, e := range g.Edges() {
+		residual[e.ID] = e.Capacity
+	}
+	var out []FlowRate
+	for _, j := range order {
+		for i, fl := range st.Inst.Coflows[j].Flows {
+			if st.Remaining[j][i] <= eps || !st.Available(j, i) {
+				continue
+			}
+			r := math.Inf(1)
+			for _, e := range fl.Path {
+				if residual[e] < r {
+					r = residual[e]
+				}
+			}
+			if r <= eps {
+				continue
+			}
+			out = append(out, FlowRate{Coflow: j, Flow: i, Rate: r})
+			for _, e := range fl.Path {
+				residual[e] -= r
+			}
+		}
+	}
+	return out
+}
 
 // lasReference re-sorts the full active set by attained service at
 // every event — the original lasPolicy. O(active·log active) per event

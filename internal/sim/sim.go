@@ -597,7 +597,7 @@ func (r *runner) run(ctx context.Context) (*Result, error) {
 				w++
 				all = false
 			}
-			r.alloc.live[j] = lv[:w]
+			r.alloc.shrinkLive(j, w)
 			if all {
 				r.finished[j] = true
 				r.done++
