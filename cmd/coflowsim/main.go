@@ -654,8 +654,10 @@ type onlineArgs struct {
 // requested policy on one instance (the -run file when given,
 // otherwise a Poisson-release workload at the -load arrival rate)
 // against the clairvoyant offline Stretch pipeline. The flags compile
-// to a Spec whose Materialize builds the shared instance, so the
-// -online branch cannot drift from what -spec runs.
+// to a Spec whose Materialize builds the shared instance, and every row
+// of the table runs as a spec cell on it with -validate as
+// Spec.Validate and -stats as the registry, so the -online branch
+// cannot drift from what -spec runs.
 func runOnline(ctx context.Context, a onlineArgs) error {
 	if a.spec == "list" {
 		for _, name := range sim.Names() {
@@ -676,20 +678,14 @@ func runOnline(ctx context.Context, a onlineArgs) error {
 	if err != nil {
 		return err
 	}
-	simOpt := sim.Options{
-		Epoch: a.epoch, MaxSlots: a.slots, Trials: a.trials,
-		Seed: a.seed, Workers: a.workers, Obs: a.obs,
-	}
-	var check func(policy string, clairvoyant bool, r *sim.Result) error
-	if a.validate {
-		check = func(policy string, clairvoyant bool, r *sim.Result) error {
-			if err := validate.SimResult(in, r, clairvoyant).Err(); err != nil {
-				return fmt.Errorf("policy %s failed validation: %w", policy, err)
-			}
-			return nil
-		}
-	}
-	res, err := experiments.OnlineComparison(ctx, in, names, simOpt, "stretch", check)
+	res, err := experiments.OnlineComparison(ctx, spec.Spec{
+		Instance: in,
+		Options: spec.Options{
+			Epoch: a.epoch, MaxSlots: a.slots, Trials: a.trials,
+			Seed: a.seed, Workers: a.workers,
+		},
+		Validate: a.validate,
+	}, names, "stretch", a.obs)
 	if err != nil {
 		return err
 	}

@@ -18,52 +18,34 @@ package baselines
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/coflow"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/schedule"
 	"repro/internal/simplex"
 	"repro/internal/timegrid"
 )
 
-// ErrHorizonTooSmall marks a PriorityFill run that left demand
-// unshipped because the slot budget ran out. Callers retry with a
-// longer horizon iff errors.Is(err, ErrHorizonTooSmall).
-var ErrHorizonTooSmall = errors.New("horizon too small")
-
 // JahanjouEpsilon is the interval growth rate that optimizes the
 // approximation ratio of Jahanjou et al.'s rounding (the paper quotes
 // ε = 0.5436).
 const JahanjouEpsilon = 0.5436
 
-// JahanjouAdaptive runs Jahanjou, growing the horizon geometrically
-// (2×, 4×, 8×) while the failure is genuinely cured by a longer grid:
-// an infeasible or over-budget interval LP, a flow released after the
+// JahanjouAdaptive runs Jahanjou under core.Grow: it retries at 2×, 4×
+// and 8× the horizon while the failure is cured by a longer grid (an
+// infeasible or over-budget interval LP, a flow released after the
 // geometric grid's last slot starts, or a priority fill that ran out
-// of slots (seen on high-diameter generated topologies where
-// the LP-sized horizon underestimates path contention). Other errors
-// surface immediately. This is the single retry policy shared by the
-// engine wrapper and the figure harnesses.
+// of slots, seen on high-diameter generated topologies where the
+// LP-sized horizon underestimates path contention). Other errors
+// surface immediately.
 func JahanjouAdaptive(ctx context.Context, in *coflow.Instance, horizon float64, eps, alpha float64) (*JahanjouResult, error) {
-	jr, err := Jahanjou(ctx, in, horizon, eps, alpha)
-	for grow := 2.0; err != nil && retryableHorizon(err) && grow <= 8; grow *= 2 {
-		jr, err = Jahanjou(ctx, in, grow*horizon, eps, alpha)
-	}
-	return jr, err
-}
-
-// retryableHorizon reports whether err is cured by a longer horizon.
-func retryableHorizon(err error) bool {
-	var se *model.StatusError
-	if errors.As(err, &se) && (se.Status == simplex.Infeasible || se.Status == simplex.IterLimit) {
-		return true
-	}
-	var re *model.ReleaseError
-	return errors.As(err, &re) || errors.Is(err, ErrHorizonTooSmall)
+	return core.Grow(horizon, func(h float64) (*JahanjouResult, error) {
+		return Jahanjou(ctx, in, h, eps, alpha)
+	})
 }
 
 // JahanjouResult reports the baseline's outcome.
@@ -239,7 +221,7 @@ func PriorityFill(inst *coflow.Instance, order []int, slots int) (*schedule.Sche
 	for f, rem := range remaining {
 		if rem > 1e-9 {
 			return nil, fmt.Errorf("baselines: flow %d has %.3g demand left after %d slots: %w",
-				f, rem, slots, ErrHorizonTooSmall)
+				f, rem, slots, core.ErrHorizonTooSmall)
 		}
 	}
 	return s, nil

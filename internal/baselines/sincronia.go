@@ -1,10 +1,10 @@
 package baselines
 
 import (
-	"errors"
 	"math"
 
 	"repro/internal/coflow"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/schedule"
 )
@@ -231,17 +231,14 @@ func Sincronia(inst *coflow.Instance, slots int) (*schedule.Schedule, error) {
 	return PriorityFill(inst, SincroniaOrder(inst), slots)
 }
 
-// SincroniaAdaptive runs Sincronia with a slot budget derived from
-// the horizon, growing it geometrically (2×, 4×, 8×) while the
-// strict-priority fill genuinely runs out of slots. Water-filling
-// under a rigid order can need more time than an LP-sized horizon, so
-// this retry is part of the baseline's contract; other errors (e.g.
-// missing paths) surface immediately.
+// SincroniaAdaptive runs Sincronia on ceil(horizon)+1 slots under
+// core.Grow, at 2×, 4× and 8× that many while the strict-priority fill
+// runs out of slots. Water-filling under a rigid order can need more
+// time than an LP-sized horizon, so this retry is part of the
+// baseline's contract; other errors (e.g. missing paths) surface
+// immediately.
 func SincroniaAdaptive(inst *coflow.Instance, horizon float64) (*schedule.Schedule, error) {
-	slots := int(math.Ceil(horizon)) + 1
-	s, err := Sincronia(inst, slots)
-	for grow := 2; errors.Is(err, ErrHorizonTooSmall) && grow <= 8; grow *= 2 {
-		s, err = Sincronia(inst, grow*slots)
-	}
-	return s, err
+	return core.Grow(math.Ceil(horizon)+1, func(slots float64) (*schedule.Schedule, error) {
+		return Sincronia(inst, int(slots))
+	})
 }

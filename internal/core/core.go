@@ -239,23 +239,39 @@ func Run(ctx context.Context, inst *coflow.Instance, mode coflow.Model, opt Opti
 	return res, nil
 }
 
-// RetryableLP reports whether err is an LP failure cured by a longer
-// time grid: infeasible (horizon too short for the demands), over its
-// iteration budget, or a flow released after the grid's last slot
-// starts.
+// ErrHorizonTooSmall marks a schedule that left demand unshipped
+// because its slot budget ran out; RetryableLP counts it as cured by a
+// longer horizon.
+var ErrHorizonTooSmall = errors.New("horizon too small")
+
+// RetryableLP reports whether err is a failure cured by a longer time
+// horizon: an LP that is infeasible (horizon too short for the demands)
+// or over its iteration budget, a flow released after the grid's last
+// slot starts, or ErrHorizonTooSmall.
 func RetryableLP(err error) bool {
 	var se *model.StatusError
 	var re *model.ReleaseError
-	return errors.As(err, &re) || errors.As(err, &se) &&
+	return errors.Is(err, ErrHorizonTooSmall) || errors.As(err, &re) || errors.As(err, &se) &&
 		(se.Status == simplex.Infeasible || se.Status == simplex.IterLimit)
+}
+
+// Grow is the horizon-growth rule of the interval LPs and the priority
+// fill baselines: it calls try at h, then at 2h, 4h and 8h while the
+// error is RetryableLP, and returns the first success or the last
+// error. RunAdaptive's uniform grid ladder is separate.
+func Grow[T any](h float64, try func(h float64) (T, error)) (T, error) {
+	r, err := try(h)
+	for k := 2.0; k <= 8 && RetryableLP(err); k *= 2 {
+		r, err = try(k * h)
+	}
+	return r, err
 }
 
 // RunAdaptive runs the pipeline on a uniform grid sized by
 // DefaultGrid, doubling the slot count (up to 4× maxSlots) when the
-// horizon proves too short for the instance's demands. logf, when
-// non-nil, receives a line per retry. This is the shared retry policy
-// of the engine schedulers and the experiment harnesses.
-func RunAdaptive(ctx context.Context, inst *coflow.Instance, mode coflow.Model, maxSlots int, opt Options, logf func(format string, args ...any)) (*Result, timegrid.Grid, error) {
+// horizon proves too short for the instance's demands. The engine's
+// LP schedulers run through it.
+func RunAdaptive(ctx context.Context, inst *coflow.Instance, mode coflow.Model, maxSlots int, opt Options) (*Result, timegrid.Grid, error) {
 	grid := DefaultGrid(inst, mode, maxSlots)
 	slots := grid.NumSlots()
 	// A horizon below the certified makespan lower bound is infeasible
@@ -266,9 +282,6 @@ func RunAdaptive(ctx context.Context, inst *coflow.Instance, mode coflow.Model, 
 	lower := inst.HorizonLowerBound(mode)
 	for {
 		if float64(slots) < lower-1e-9 && slots < 4*maxSlots {
-			if logf != nil {
-				logf("horizon %d slots provably short (makespan lower bound %.3g); doubling without solving", slots, lower)
-			}
 			opt.Obs.Counter("core_grid_retries_total").Inc()
 			opt.Obs.Counter("core_grid_preskips_total").Inc()
 			slots *= 2
@@ -281,9 +294,6 @@ func RunAdaptive(ctx context.Context, inst *coflow.Instance, mode coflow.Model, 
 			return res, grid, nil
 		}
 		if RetryableLP(err) && slots < 4*maxSlots {
-			if logf != nil {
-				logf("horizon %d slots too short (%v); doubling", slots, err)
-			}
 			opt.Obs.Counter("core_grid_retries_total").Inc()
 			slots *= 2
 			continue

@@ -38,7 +38,7 @@ func runCore(ctx context.Context, inst *coflow.Instance, opt Options, trials int
 		Workers:           opt.Workers,
 		WarmBasis:         opt.WarmBasis,
 		Obs:               opt.Obs,
-	}, nil)
+	})
 }
 
 // stretchScheduler is the paper's full pipeline: time-indexed LP,

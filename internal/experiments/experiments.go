@@ -10,7 +10,10 @@
 // value) out over a bounded worker pool (Config.Workers), and the
 // Stretch trials inside each cell share the same bound. Tables are
 // identical at any worker count: cells derive their seeds from
-// Config.Seed, and rows are collected positionally.
+// Config.Seed, and rows are collected positionally. Instances come
+// from spec.Spec cells, the engine schedulers run as cells through the
+// spec front door, and the interval LPs of Figures 8–10 grow their
+// horizon under core.Grow.
 //
 // Figure index:
 //
@@ -44,10 +47,9 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/coflow"
 	"repro/internal/core"
-	"repro/internal/graph"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/pool"
-	"repro/internal/simplex"
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/timegrid"
@@ -286,116 +288,136 @@ const (
 	SeriesSincronia    = "Sincronia greedy"
 )
 
-// runAdaptive runs the core pipeline with the shared adaptive grid
-// policy (core.RunAdaptive). Stretch trials inside the run share the
-// harness's worker pool bound.
-func runAdaptive(ctx context.Context, c Config, in *coflow.Instance, mode coflow.Model, trials int, seed int64) (*core.Result, timegrid.Grid, error) {
-	return core.RunAdaptive(ctx, in, mode, c.MaxSlots, core.Options{
-		Trials:  trials,
-		Seed:    seed,
-		Workers: c.Workers,
-	}, c.logf)
-}
+// specKind is the internal/spec workload-kind name of a
+// workload.Kind; ParseKind accepts the lowercased display names.
+func specKind(k workload.Kind) string { return strings.ToLower(k.String()) }
 
-// topologyFor returns the named topology with unit link capacity.
-func topologyFor(name string) (*graph.Graph, error) {
-	switch name {
-	case "SWAN":
-		return graph.SWAN(1), nil
-	case "G-Scale":
-		return graph.GScale(1), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown topology %q", name)
-	}
-}
-
-// generate builds the workload instance for one figure cell.
-func (c Config) generate(kind workload.Kind, g *graph.Graph, n int, unweighted, paths bool) (*coflow.Instance, error) {
-	cfg := workload.Config{
-		Kind:             kind,
-		Graph:            g,
-		NumCoflows:       n,
+// figureCell is the spec of a figure cell on one of the paper's
+// workloads: n coflows of the given kind on topo. The caller sets the
+// model and the scheduler.
+func (c Config) figureCell(topo string, kind workload.Kind, n int) spec.Spec {
+	return spec.Spec{Topology: topo, Workload: &spec.Workload{
+		Kind:             specKind(kind),
+		Coflows:          n,
 		Seed:             stats.SubSeed(c.Seed, uint64(kind)*31+7),
 		MeanInterarrival: c.MeanInterarrival,
-		AssignPaths:      paths,
-	}
-	if unweighted {
-		cfg.WeightMin, cfg.WeightMax = 1, 1
-	}
-	return workload.Generate(cfg)
+	}}
 }
 
-// weightedFree runs Figures 6 and 7: free path, weighted, one row per
-// workload with LP bound / heuristic / best λ / average λ.
-func weightedFree(ctx context.Context, c Config, topo string, figure string) (*FigureResult, error) {
-	c = c.withDefaults()
-	g, err := topologyFor(topo)
+// intervalLP solves the geometric-interval LP with growth rate eps,
+// starting at horizon under core.Grow, and rounds it with the λ=1
+// heuristic.
+func intervalLP(ctx context.Context, in *coflow.Instance, mode coflow.Model, horizon, eps float64) (*model.Solution, *core.Evaluated, error) {
+	var grid timegrid.Grid
+	sol, err := core.Grow(horizon, func(h float64) (*model.Solution, error) {
+		grid = timegrid.Geometric(h, eps)
+		return core.SolveLP(ctx, in, mode, core.Options{Grid: grid})
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	heur, err := core.Heuristic(sol, core.Options{Grid: grid})
+	return sol, heur, err
+}
+
+// freePath runs Figures 6, 7, 11 and 12 in the free path model: per
+// workload, one stretch cell (LP bound, λ=1 heuristic, best and average
+// λ) and, for the unit-weight figures, a terra cell on the same
+// instance. Weighted figures report Σ w_j C_j, unit-weight ones total
+// completion time. Cells stream over internal/spec's executor.
+func freePath(ctx context.Context, c Config, topo string, unit bool, figure string) (*FigureResult, error) {
+	c = c.withDefaults()
 	n := c.FreeCoflows
-	if topo == "G-Scale" {
+	if topo == "gscale" {
 		n = (n + 1) / 2
 	}
 	res := &FigureResult{
 		Name:   figure,
 		Series: []string{SeriesLP, SeriesHeuristic, SeriesBestLambda, SeriesAvgLambda},
 	}
-	rows, err := pool.Map(ctx, len(workload.Kinds), c.Workers, func(i int) (Row, error) {
-		kind := workload.Kinds[i]
-		c.logf("%s: workload %v (n=%d)", figure, kind, n)
-		in, err := c.generate(kind, g, n, false, false)
-		if err != nil {
-			return Row{}, err
+	scheds, seedBase := []string{engine.NameStretch}, uint64(100)
+	if unit {
+		res.Series = append(res.Series, SeriesTerra)
+		scheds, seedBase = append(scheds, engine.NameTerra), 200
+	}
+	ns := len(scheds)
+	at := func(i int) spec.Spec {
+		kind := workload.Kinds[i/ns]
+		if i%ns == 0 {
+			c.logf("%s: workload %v (n=%d)", figure, kind, n)
 		}
-		run, _, err := runAdaptive(ctx, c, in, coflow.FreePath, c.Trials,
-			stats.SubSeed(c.Seed, uint64(kind)+100))
-		if err != nil {
-			return Row{}, fmt.Errorf("%s %v: %w", figure, kind, err)
+		s := c.figureCell(topo, kind, n)
+		s.Model, s.Scheduler = spec.ModelFree, scheds[i%ns]
+		if unit {
+			s.Workload.WeightMin, s.Workload.WeightMax = 1, 1
 		}
-		return Row{
-			Label: kind.String(),
-			Values: map[string]float64{
-				SeriesLP:         run.LowerBound,
-				SeriesHeuristic:  run.Heuristic.Weighted,
-				SeriesBestLambda: run.Stretch.BestWeighted,
-				SeriesAvgLambda:  run.Stretch.AvgWeighted,
-			},
-		}, nil
-	})
-	if err != nil {
+		s.Options = spec.Options{
+			MaxSlots: c.MaxSlots,
+			Trials:   c.Trials,
+			Seed:     stats.SubSeed(c.Seed, uint64(kind)+seedBase),
+			Workers:  c.Workers,
+		}
+		return s
+	}
+	reports := make([]*spec.RunReport, len(workload.Kinds)*ns)
+	for i, cell := range spec.Stream(ctx, len(reports), c.Workers, at) {
+		if cell.Err != nil {
+			return nil, fmt.Errorf("%s %v (%s): %w", figure, workload.Kinds[i/ns], scheds[i%ns], cell.Err)
+		}
+		reports[i] = cell.Report
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res.Rows = rows
+	for k, kind := range workload.Kinds {
+		run := reports[k*ns].Engine.Core
+		v := map[string]float64{
+			SeriesLP:         run.LowerBound,
+			SeriesHeuristic:  run.Heuristic.Weighted,
+			SeriesBestLambda: run.Stretch.BestWeighted,
+			SeriesAvgLambda:  run.Stretch.AvgWeighted,
+		}
+		if unit {
+			lpTotal := 0.0
+			for _, cs := range run.CStar {
+				lpTotal += cs
+			}
+			v = map[string]float64{
+				SeriesLP:         lpTotal,
+				SeriesHeuristic:  run.Heuristic.Total,
+				SeriesBestLambda: run.Stretch.BestTotal,
+				SeriesAvgLambda:  run.Stretch.AvgTotal,
+				SeriesTerra:      reports[k*ns+1].Total,
+			}
+		}
+		res.Rows = append(res.Rows, Row{Label: kind.String(), Values: v})
+	}
 	return res, nil
 }
 
 // Figure6 regenerates Figure 6 (free path, SWAN, weighted).
 func Figure6(ctx context.Context, c Config) (*FigureResult, error) {
-	return weightedFree(ctx, c, "SWAN", "Figure 6: free path on SWAN (weighted completion, slot units)")
+	return freePath(ctx, c, "swan", false, "Figure 6: free path on SWAN (weighted completion, slot units)")
 }
 
 // Figure7 regenerates Figure 7 (free path, G-Scale, weighted).
 func Figure7(ctx context.Context, c Config) (*FigureResult, error) {
-	return weightedFree(ctx, c, "G-Scale", "Figure 7: free path on G-Scale (weighted completion, slot units)")
+	return freePath(ctx, c, "gscale", false, "Figure 7: free path on G-Scale (weighted completion, slot units)")
 }
 
 // Figure8 regenerates Figure 8: the geometric-interval ε sweep on the
-// FB workload over SWAN in the free path model.
+// FB workload over SWAN in the free path model. Each ε cell solves at
+// the instance's horizon bound (capped at 4·MaxSlots) under core.Grow.
 func Figure8(ctx context.Context, c Config) (*FigureResult, error) {
 	c = c.withDefaults()
-	g, err := topologyFor("SWAN")
+	cell := c.figureCell("swan", workload.FB, c.FreeCoflows)
+	// The scheduler never runs; Materialize needs one to normalize.
+	cell.Model, cell.Scheduler = spec.ModelFree, engine.NameStretch
+	in, err := cell.Materialize()
 	if err != nil {
 		return nil, err
 	}
-	in, err := c.generate(workload.FB, g, c.FreeCoflows, false, false)
-	if err != nil {
-		return nil, err
-	}
-	horizon := in.HorizonUpperBound(coflow.FreePath) + 1
-	if horizon > float64(4*c.MaxSlots) {
-		horizon = float64(4 * c.MaxSlots)
-	}
+	horizon := min(in.HorizonUpperBound(coflow.FreePath)+1, float64(4*c.MaxSlots))
 	res := &FigureResult{
 		Name:   "Figure 8: free path on SWAN, FB workload — effect of interval ε",
 		Series: []string{"Interval LP(lower bound)", SeriesHeuristic},
@@ -405,16 +427,7 @@ func Figure8(ctx context.Context, c Config) (*FigureResult, error) {
 	rows, err := pool.Map(ctx, len(eps), c.Workers, func(i int) (Row, error) {
 		e := eps[i]
 		c.logf("Figure 8: ε = %.4g", e)
-		grid := timegrid.Geometric(horizon, e)
-		l, err := model.BuildFreePath(in, grid)
-		if err != nil {
-			return Row{}, err
-		}
-		sol, err := l.Solve(ctx, simplex.Options{})
-		if err != nil {
-			return Row{}, fmt.Errorf("figure 8 ε=%g: %w", e, err)
-		}
-		heur, err := core.Heuristic(sol, core.Options{Grid: grid})
+		sol, heur, err := intervalLP(ctx, in, coflow.FreePath, horizon, e)
 		if err != nil {
 			return Row{}, fmt.Errorf("figure 8 ε=%g: %w", e, err)
 		}
@@ -433,22 +446,6 @@ func Figure8(ctx context.Context, c Config) (*FigureResult, error) {
 	return res, nil
 }
 
-// specKind is the internal/spec workload-kind name of a
-// workload.Kind; ParseKind accepts the lowercased display names.
-func specKind(k workload.Kind) string { return strings.ToLower(k.String()) }
-
-// topoSpec maps the figure topology labels to spec topology names.
-func topoSpec(topo string) (string, error) {
-	switch topo {
-	case "SWAN":
-		return "swan", nil
-	case "G-Scale":
-		return "gscale", nil
-	default:
-		return "", fmt.Errorf("experiments: unknown topology %q", topo)
-	}
-}
-
 // singlePath runs Figures 9 and 10: per workload, the time-indexed LP
 // and heuristic, the ε=0.2 time-interval LP and heuristic, and the
 // Jahanjou et al. baseline (ε=0.5436). The LP + heuristic series run
@@ -458,12 +455,8 @@ func topoSpec(topo string) (string, error) {
 // sweep cells of their own.
 func singlePath(ctx context.Context, c Config, topo, figure string) (*FigureResult, error) {
 	c = c.withDefaults()
-	top, err := topoSpec(topo)
-	if err != nil {
-		return nil, err
-	}
 	n := c.SingleCoflows
-	if topo == "G-Scale" {
+	if topo == "gscale" {
 		n = (n*2 + 2) / 3
 	}
 	res := &FigureResult{
@@ -474,18 +467,9 @@ func singlePath(ctx context.Context, c Config, topo, figure string) (*FigureResu
 	rows, err := pool.Map(ctx, len(workload.Kinds), c.Workers, func(i int) (Row, error) {
 		kind := workload.Kinds[i]
 		c.logf("%s: workload %v (n=%d)", figure, kind, n)
-		cell := spec.Spec{
-			Topology: top,
-			Workload: &spec.Workload{
-				Kind:             specKind(kind),
-				Coflows:          n,
-				Seed:             stats.SubSeed(c.Seed, uint64(kind)*31+7),
-				MeanInterarrival: c.MeanInterarrival,
-			},
-			Model:     spec.ModelSingle,
-			Scheduler: "heuristic",
-			Options:   spec.Options{MaxSlots: c.MaxSlots},
-		}
+		cell := c.figureCell(topo, kind, n)
+		cell.Model, cell.Scheduler = spec.ModelSingle, engine.NameHeuristic
+		cell.Options.MaxSlots = c.MaxSlots
 		// Materialize the cell's instance once and run the spec cell on
 		// it inline: the heuristic series and the interval-LP/baseline
 		// series below then share one instance from one derivation, by
@@ -501,40 +485,20 @@ func singlePath(ctx context.Context, c Config, topo, figure string) (*FigureResu
 		}
 		run := rep.Engine.Core
 
-		// Time-interval LP (ε = 0.2) + its heuristic, growing the
-		// horizon when interval snapping loses feasibility. The
-		// starting horizon is the uniform cell's final (adaptive) grid,
-		// reported by the heuristic scheduler as grid-slots; a missing
-		// or degenerate value must fail loudly, not seed a 0 horizon.
+		// Time-interval LP (ε = 0.2) + its heuristic. The starting
+		// horizon is the uniform cell's final (adaptive) grid, reported
+		// by the heuristic scheduler as grid-slots; a missing or
+		// degenerate value must fail loudly, not seed a 0 horizon.
 		horizon, ok := rep.Extra["grid-slots"]
 		if !ok || horizon < 1 {
 			return Row{}, fmt.Errorf("%s %v: heuristic cell reported no usable grid-slots (%v)", figure, kind, horizon)
 		}
-		var solInt *model.Solution
-		var heurInt *core.Evaluated
-		var gridInt timegrid.Grid
-		for h := horizon; ; h *= 2 {
-			gridInt = timegrid.Geometric(h, 0.2)
-			lInt, err := model.BuildSinglePath(in, gridInt)
-			if err == nil {
-				solInt, err = lInt.Solve(ctx, simplex.Options{})
-			}
-			if err != nil {
-				if core.RetryableLP(err) && h < 8*horizon {
-					continue
-				}
-				return Row{}, fmt.Errorf("%s %v (interval): %w", figure, kind, err)
-			}
-			break
-		}
-		heurInt, err = core.Heuristic(solInt, core.Options{Grid: gridInt})
+		solInt, heurInt, err := intervalLP(ctx, in, coflow.SinglePath, horizon, 0.2)
 		if err != nil {
-			return Row{}, err
+			return Row{}, fmt.Errorf("%s %v (interval): %w", figure, kind, err)
 		}
 
-		// Jahanjou et al. with the ratio-optimizing ε; the adaptive
-		// wrapper grows the horizon when the interval LP or the
-		// priority fill runs out of room.
+		// Jahanjou et al. with the ratio-optimizing ε.
 		jr, err := baselines.JahanjouAdaptive(ctx, in, horizon, baselines.JahanjouEpsilon, 0.5)
 		if err != nil {
 			return Row{}, fmt.Errorf("%s %v (jahanjou): %w", figure, kind, err)
@@ -567,78 +531,22 @@ func singlePath(ctx context.Context, c Config, topo, figure string) (*FigureResu
 
 // Figure9 regenerates Figure 9 (single path, SWAN).
 func Figure9(ctx context.Context, c Config) (*FigureResult, error) {
-	return singlePath(ctx, c, "SWAN", "Figure 9: single path on SWAN (weighted completion, slot units)")
+	return singlePath(ctx, c, "swan", "Figure 9: single path on SWAN (weighted completion, slot units)")
 }
 
 // Figure10 regenerates Figure 10 (single path, G-Scale).
 func Figure10(ctx context.Context, c Config) (*FigureResult, error) {
-	return singlePath(ctx, c, "G-Scale", "Figure 10: single path on G-Scale (weighted completion, slot units)")
-}
-
-// unweightedFree runs Figures 11 and 12: unit weights, total
-// completion time, against Terra.
-func unweightedFree(ctx context.Context, c Config, topo, figure string) (*FigureResult, error) {
-	c = c.withDefaults()
-	g, err := topologyFor(topo)
-	if err != nil {
-		return nil, err
-	}
-	n := c.FreeCoflows
-	if topo == "G-Scale" {
-		n = (n + 1) / 2
-	}
-	res := &FigureResult{
-		Name: figure,
-		Series: []string{SeriesLP, SeriesHeuristic, SeriesBestLambda,
-			SeriesAvgLambda, SeriesTerra},
-	}
-	rows, err := pool.Map(ctx, len(workload.Kinds), c.Workers, func(i int) (Row, error) {
-		kind := workload.Kinds[i]
-		c.logf("%s: workload %v (n=%d)", figure, kind, n)
-		in, err := c.generate(kind, g, n, true, false)
-		if err != nil {
-			return Row{}, err
-		}
-		run, _, err := runAdaptive(ctx, c, in, coflow.FreePath, c.Trials,
-			stats.SubSeed(c.Seed, uint64(kind)+200))
-		if err != nil {
-			return Row{}, fmt.Errorf("%s %v: %w", figure, kind, err)
-		}
-		tr, err := baselines.Terra(ctx, in)
-		if err != nil {
-			return Row{}, fmt.Errorf("%s %v (terra): %w", figure, kind, err)
-		}
-		// Unweighted objective: total completion time.
-		lpTotal := 0.0
-		for _, cs := range run.CStar {
-			lpTotal += cs
-		}
-		return Row{
-			Label: kind.String(),
-			Values: map[string]float64{
-				SeriesLP:         lpTotal,
-				SeriesHeuristic:  run.Heuristic.Total,
-				SeriesBestLambda: run.Stretch.BestTotal,
-				SeriesAvgLambda:  run.Stretch.AvgTotal,
-				SeriesTerra:      tr.Total,
-			},
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = rows
-	return res, nil
+	return singlePath(ctx, c, "gscale", "Figure 10: single path on G-Scale (weighted completion, slot units)")
 }
 
 // Figure11 regenerates Figure 11 (free path, SWAN, unit weights, vs Terra).
 func Figure11(ctx context.Context, c Config) (*FigureResult, error) {
-	return unweightedFree(ctx, c, "SWAN", "Figure 11: free path on SWAN (total completion, unit weights, slot units)")
+	return freePath(ctx, c, "swan", true, "Figure 11: free path on SWAN (total completion, unit weights, slot units)")
 }
 
 // Figure12 regenerates Figure 12 (free path, G-Scale, unit weights, vs Terra).
 func Figure12(ctx context.Context, c Config) (*FigureResult, error) {
-	return unweightedFree(ctx, c, "G-Scale", "Figure 12: free path on G-Scale (total completion, unit weights, slot units)")
+	return freePath(ctx, c, "gscale", true, "Figure 12: free path on G-Scale (total completion, unit weights, slot units)")
 }
 
 // Figures maps figure numbers to their harnesses. Every harness

@@ -71,6 +71,24 @@ func TestFigure8Small(t *testing.T) {
 	}
 }
 
+// TestFigure8SmallSlotCap runs Figure 8 with the horizon capped below
+// what its ε cells need: each cell must grow its horizon under
+// core.Grow instead of failing on the first infeasible LP (MaxSlots 2)
+// or on a flow released after the grid's last slot (MaxSlots 1).
+func TestFigure8SmallSlotCap(t *testing.T) {
+	for _, slots := range []int{1, 2} {
+		c := Small()
+		c.MaxSlots = slots
+		r, err := Figure8(context.Background(), c)
+		if err != nil {
+			t.Fatalf("MaxSlots %d: %v", slots, err)
+		}
+		if len(r.Rows) != len(c.EpsSweep) {
+			t.Fatalf("MaxSlots %d: rows = %d, want %d", slots, len(r.Rows), len(c.EpsSweep))
+		}
+	}
+}
+
 func TestFigure9Small(t *testing.T) {
 	r, err := Figure9(context.Background(), Small())
 	if err != nil {
@@ -154,11 +172,5 @@ func TestFiguresRegistry(t *testing.T) {
 	}
 	if Figures[5] != nil {
 		t.Fatal("unexpected figure 5")
-	}
-}
-
-func TestUnknownTopology(t *testing.T) {
-	if _, err := topologyFor("nope"); err == nil {
-		t.Fatal("expected error")
 	}
 }

@@ -3,10 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/coflow"
-	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -43,46 +42,56 @@ const SeriesOffline = "Offline ΣwC"
 // makespan, and — when offline names an engine scheduler — the average
 // per-coflow slowdown against a clairvoyant run of that scheduler's
 // epoch adapter. The reference runs through the same continuous-time
-// simulator (sim.Options.Clairvoyant) so the slowdown isolates the
-// cost of not knowing the future instead of mixing in the slot
-// quantization of offline schedules; the engine's slotted ΣwC is
-// reported alongside for scale.
+// simulator (Options.Clairvoyant) so the slowdown isolates the cost of
+// not knowing the future instead of mixing in the slot quantization of
+// offline schedules; the engine's slotted ΣwC is reported alongside
+// for scale.
 //
-// When check is non-nil it receives every simulation result (the
-// clairvoyant reference included, with clairvoyant=true) before it is
-// tabulated; a non-nil error aborts the comparison. cmd/coflowsim's
-// -validate wires the internal/validate oracle through it.
-func OnlineComparison(ctx context.Context, in *coflow.Instance, policies []string, opt sim.Options, offline string, check func(policy string, clairvoyant bool, r *sim.Result) error) (*FigureResult, error) {
-	// Normalize here so the offline reference sees sim's lighter trial
-	// default (5) rather than the engine's offline default (20).
-	opt = opt.Normalize()
+// Every row is a spec cell run through spec.RunWith with reg: base
+// carries the shared inline Instance, the Options and Validate, and
+// each row sets its Policy or Scheduler (the slotted reference drops
+// the online-only options).
+func OnlineComparison(ctx context.Context, base spec.Spec, policies []string, offline string, reg *obs.Registry) (*FigureResult, error) {
+	// The slotted reference takes sim's lighter trial default (5)
+	// rather than the engine's offline default (20).
+	if base.Options.Trials == 0 {
+		base.Options.Trials = sim.Options{}.Normalize().Trials
+	}
+	in := base.Instance
 	res := &FigureResult{
-		Name:   fmt.Sprintf("Online comparison: %d coflows (%d flows), epoch=%g", len(in.Coflows), in.NumFlows(), opt.Epoch),
+		Name:   fmt.Sprintf("Online comparison: %d coflows (%d flows), epoch=%g", len(in.Coflows), in.NumFlows(), base.Options.Epoch),
 		Series: []string{"Weighted ΣwC", "Avg CCT", "Makespan", "Replans"},
+	}
+	run := func(label string, s spec.Spec) (*spec.RunReport, error) {
+		rep, err := spec.RunWith(ctx, s, reg)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", label, err)
+		}
+		return rep, nil
 	}
 	var offCompletions []float64
 	if offline != "" {
-		off, err := engine.Schedule(ctx, offline, in, coflow.SinglePath, engine.Options{
-			MaxSlots: opt.MaxSlots, Trials: opt.Trials, Seed: opt.Seed, Workers: opt.Workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: offline reference %s: %w", offline, err)
-		}
-		ref, err := clairvoyantReference(ctx, in, offline, opt)
+		slotted := base
+		slotted.Scheduler = offline
+		o := &slotted.Options
+		o.Epoch, o.Clairvoyant, o.CheckEvery, o.MaxEvents, o.WarmLP = 0, false, 0, 0, false
+		off, err := run("offline reference "+offline, slotted)
 		if err != nil {
 			return nil, err
 		}
-		if check != nil {
-			if err := check("epoch:"+offline, true, ref); err != nil {
-				return nil, fmt.Errorf("experiments: clairvoyant reference %s: %w", offline, err)
-			}
+		clair := base
+		clair.Policy = "epoch:" + offline
+		clair.Options.Clairvoyant = true
+		ref, err := run("clairvoyant reference "+offline, clair)
+		if err != nil {
+			return nil, err
 		}
 		offCompletions = ref.Completions
 		res.Series = append(res.Series, "Slowdown")
 		res.Rows = append(res.Rows, Row{
 			Label: "offline:" + offline,
 			Values: map[string]float64{
-				"Weighted ΣwC": ref.WeightedCCT,
+				"Weighted ΣwC": ref.Weighted,
 				"Avg CCT":      ref.AvgCCT,
 				"Makespan":     ref.Makespan,
 				"Slowdown":     1,
@@ -92,30 +101,25 @@ func OnlineComparison(ctx context.Context, in *coflow.Instance, policies []strin
 			Label: "offline:" + offline + " (slotted)",
 			Values: map[string]float64{
 				"Weighted ΣwC": off.Weighted,
-				"Makespan":     slices.Max(off.Completions),
+				"Makespan":     off.Makespan,
 			},
 		})
 	}
 	for _, name := range policies {
-		o := opt
-		o.Policy = name
-		r, err := sim.Simulate(ctx, in, o)
+		cell := base
+		cell.Policy = name
+		r, err := run("policy "+name, cell)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: policy %s: %w", name, err)
-		}
-		if check != nil {
-			if err := check(name, false, r); err != nil {
-				return nil, fmt.Errorf("experiments: policy %s: %w", name, err)
-			}
+			return nil, err
 		}
 		row := Row{Label: name, Values: map[string]float64{
-			"Weighted ΣwC": r.WeightedCCT,
+			"Weighted ΣwC": r.Weighted,
 			"Avg CCT":      r.AvgCCT,
 			"Makespan":     r.Makespan,
 			"Replans":      float64(r.Replans),
 		}}
 		if offCompletions != nil {
-			s, err := sim.Slowdown(r, offCompletions)
+			s, err := sim.Slowdown(r.Sim, offCompletions)
 			if err != nil {
 				return nil, err
 			}
@@ -124,21 +128,6 @@ func OnlineComparison(ctx context.Context, in *coflow.Instance, policies []strin
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// clairvoyantReference runs the epoch adapter of the named engine
-// scheduler in clairvoyant mode: the full instance is revealed at t=0
-// (service still honors releases) and the run advances in the same
-// continuous time as the online policies it is compared against.
-func clairvoyantReference(ctx context.Context, in *coflow.Instance, offline string, opt sim.Options) (*sim.Result, error) {
-	o := opt
-	o.Policy = "epoch:" + offline
-	o.Clairvoyant = true
-	ref, err := sim.Simulate(ctx, in, o)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: clairvoyant reference %s: %w", offline, err)
-	}
-	return ref, nil
 }
 
 // FigureO1 is the online load sweep: one streamed spec cell per

@@ -5,8 +5,11 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/coflow"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/workload"
 )
 
@@ -41,7 +44,10 @@ func TestFigureO1Shape(t *testing.T) {
 	}
 }
 
-func TestOnlineComparisonTable(t *testing.T) {
+// onlineInstance is the 5-coflow SWAN instance the comparison tests
+// share.
+func onlineInstance(t *testing.T) *coflow.Instance {
+	t.Helper()
 	in, err := workload.Generate(workload.Config{
 		Kind: workload.FB, Graph: graph.SWAN(1), NumCoflows: 5, Seed: 9,
 		MeanInterarrival: 1, AssignPaths: true,
@@ -49,19 +55,17 @@ func TestOnlineComparisonTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
-	res, err := OnlineComparison(context.Background(), in,
-		[]string{sim.NameFIFO, sim.NameLAS}, sim.Options{MaxSlots: 16, Trials: 2}, "sincronia-greedy",
-		func(policy string, clairvoyant bool, r *sim.Result) error {
-			checked++
-			return nil
-		})
+	return in
+}
+
+func TestOnlineComparisonTable(t *testing.T) {
+	res, err := OnlineComparison(context.Background(), spec.Spec{
+		Instance: onlineInstance(t),
+		Options:  spec.Options{MaxSlots: 16, Trials: 2},
+		Validate: true,
+	}, []string{sim.NameFIFO, sim.NameLAS}, "sincronia-greedy", nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// The clairvoyant reference plus both policies pass the hook.
-	if checked != 3 {
-		t.Fatalf("check hook saw %d results, want 3", checked)
 	}
 	// Two reference rows (clairvoyant + slotted) plus one per policy.
 	if len(res.Rows) != 4 {
@@ -83,5 +87,25 @@ func TestOnlineComparisonTable(t *testing.T) {
 		if row.Values["Slowdown"] < 0.5 {
 			t.Fatalf("row %q: slowdown %v below plausibility floor", row.Label, row.Values["Slowdown"])
 		}
+	}
+}
+
+// TestOnlineComparisonCountsSlottedReference requires the registry to
+// see every row: the slotted offline reference schedules once, and the
+// clairvoyant reference once per re-plan.
+func TestOnlineComparisonCountsSlottedReference(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, err := OnlineComparison(context.Background(), spec.Spec{
+		Instance: onlineInstance(t),
+		Options:  spec.Options{MaxSlots: 16, Trials: 2},
+	}, nil, "sincronia-greedy", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	schedules := snap.Timings[`engine_schedule{scheduler="sincronia-greedy"}`].Count
+	replans := snap.Counters["sim_replans_total"]
+	if replans == 0 || schedules != replans+1 {
+		t.Fatalf("engine schedules = %d, want re-plans (%d) + 1", schedules, replans)
 	}
 }
