@@ -65,9 +65,12 @@
 // non-zero, while a missing baseline just records the first report.
 //
 // -stats attaches a telemetry registry (internal/obs) to whatever the
-// invocation runs — -spec, -run, -scheduler, or -online — and prints
-// the aggregated snapshot as indented JSON to stderr after the normal
-// output. Results are bit-identical with or without it.
+// invocation runs — -spec, -run, -scheduler, -online, or -figure — and
+// prints the aggregated snapshot as indented JSON to stderr after the
+// normal output. Under -figure it records every figure cell and the
+// interval LPs of Figures 8–10, but not the Jahanjou and Sincronia
+// baselines of Figures 9 and 10, which take no registry. Results are
+// bit-identical with or without it.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the
 // selected action (most usefully -bench) for offline analysis with
@@ -142,7 +145,7 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 
-		statsF = flag.Bool("stats", false, "print the run's telemetry registry as JSON to stderr at exit (-spec, -run, -scheduler, -online)")
+		statsF = flag.Bool("stats", false, "print the run's telemetry registry as JSON to stderr at exit (-spec, -run, -scheduler, -online, -figure)")
 	)
 	flag.Parse()
 
@@ -234,6 +237,7 @@ func main() {
 			cfg.Seed = *seed
 		}
 		cfg.Workers = *workers
+		cfg.Obs = statsReg
 		if *verbose {
 			cfg.Logf = func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)

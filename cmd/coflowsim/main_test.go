@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/coflow"
+	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/spec"
 
@@ -174,6 +175,20 @@ func TestRunSpecFileEndToEnd(t *testing.T) {
 // the single and free path models with -validate and a -stats
 // registry: each run must record its simplex pivots in the registry,
 // and -model multi stays rejected.
+// TestRunFiguresRecordsStats: the -stats registry reaches the figure
+// harness, so a Figure 8 run leaves its simplex counters in it.
+func TestRunFiguresRecordsStats(t *testing.T) {
+	cfg := experiments.Small()
+	cfg.MaxSlots = 2
+	cfg.Obs = repro.NewTelemetry()
+	if err := runFigures(context.Background(), "8", cfg, ""); err != nil {
+		t.Fatal(err)
+	}
+	if n := cfg.Obs.Snapshot().Counters["simplex_pivots_total"]; n <= 0 {
+		t.Fatalf("simplex_pivots_total = %d, want > 0", n)
+	}
+}
+
 func TestRunInstanceEndToEnd(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "inst.json")
 	if err := generate("fb", "swan", 3, 7, true, path); err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/coflow"
 	"repro/internal/graph"
 	"repro/internal/lp"
+	"repro/internal/model"
 	"repro/internal/simplex"
 )
 
@@ -77,35 +78,7 @@ func concurrentFlowRate(ctx context.Context, g *graph.Graph, flows []coflow.Flow
 		}
 		// Net outflow at source = μ·rem_i; conservation elsewhere;
 		// net inflow at sink = μ·rem_i.
-		src := m.AddConstr("", lp.EQ, 0)
-		for _, eid := range g.OutEdges(fl.Source) {
-			m.AddTerm(src, rate[i][eid], 1)
-		}
-		for _, eid := range g.InEdges(fl.Source) {
-			m.AddTerm(src, rate[i][eid], -1)
-		}
-		m.AddTerm(src, mu, -rem[i])
-		snk := m.AddConstr("", lp.EQ, 0)
-		for _, eid := range g.InEdges(fl.Sink) {
-			m.AddTerm(snk, rate[i][eid], 1)
-		}
-		for _, eid := range g.OutEdges(fl.Sink) {
-			m.AddTerm(snk, rate[i][eid], -1)
-		}
-		m.AddTerm(snk, mu, -rem[i])
-		for v := 0; v < g.NumNodes(); v++ {
-			nv := graph.NodeID(v)
-			if nv == fl.Source || nv == fl.Sink {
-				continue
-			}
-			row := m.AddConstr("", lp.EQ, 0)
-			for _, eid := range g.InEdges(nv) {
-				m.AddTerm(row, rate[i][eid], 1)
-			}
-			for _, eid := range g.OutEdges(nv) {
-				m.AddTerm(row, rate[i][eid], -1)
-			}
-		}
+		model.AddConservation(m, g, fl.Source, fl.Sink, rate[i], mu, rem[i])
 	}
 	sol, err := m.Solve(ctx, simplex.Options{})
 	if err != nil {

@@ -14,11 +14,14 @@
 // BenchmarkSimulateFB/n=2000, the online simulator's events/sec on the
 // instance the root package's BenchmarkSimulateFB runs.
 //
-// Comparisons only fail on the stable metrics: events/sec on a fixed
-// instance and allocs/op are reproducible on one machine, while raw
-// ns/op of LP solves is noisy across shared runners; Compare therefore
-// flags events/sec drops and allocs/op growth beyond the tolerance and
-// reports everything else informationally through the Report itself.
+// Comparisons only fail on two metrics: Compare flags events/sec
+// drops and allocs/op growth beyond the tolerance and reports
+// everything else informationally through the Report itself. allocs/op
+// repeats run to run; events/sec on a fixed instance does not: on a
+// shared 2-vCPU VM, seven runs of one commit read 128 807–216 500
+// events/sec on sim/fifo/big-switch:n=64/n=1000, wider than the default
+// tolerance. So re-run a single rejection before reading it as a
+// regression. Raw ns/op of LP solves is noisier still and never gates.
 package bench
 
 import (

@@ -52,8 +52,8 @@ func (r Regression) String() string {
 
 // Compare diffs cur against the prev baseline and returns the
 // regressions beyond tol (0 = DefaultTolerance): events/sec that
-// dropped by more than tol, and allocs/op that grew by more than tol —
-// the metrics that are stable run-to-run on one machine. Benchmarks
+// dropped by more than tol, and allocs/op that grew by more than tol
+// (see the package doc for how far events/sec spreads). Benchmarks
 // present in only one report are ignored (the suite is allowed to
 // grow), as are reports from a different tier (their grids differ).
 func Compare(prev, cur *Report, tol float64) []Regression {

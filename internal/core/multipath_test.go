@@ -39,7 +39,7 @@ func TestMultiPathEndToEnd(t *testing.T) {
 	}
 	// Every sampled schedule was verified inside Run; double-check the
 	// heuristic carries path rates.
-	if res.Heuristic.Schedule.PathFrac == nil {
+	if res.Heuristic.Schedule.Route == nil {
 		t.Fatal("multi-path schedule lost its path rates")
 	}
 }

@@ -49,6 +49,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -84,6 +85,12 @@ type Config struct {
 	// Logf, when non-nil, receives progress lines. It may be called
 	// from multiple goroutines; calls are serialized by the harness.
 	Logf func(format string, args ...any)
+	// Obs, when non-nil, receives the telemetry of every figure cell
+	// and interval LP (simplex counters, engine timings, …). The
+	// Jahanjou and Sincronia baselines of Figures 9 and 10 take no
+	// registry and go unrecorded. Tables are bit-identical with or
+	// without it.
+	Obs *obs.Registry
 }
 
 // Default returns the laptop-scale configuration used by
@@ -304,14 +311,31 @@ func (c Config) figureCell(topo string, kind workload.Kind, n int) spec.Spec {
 	}}
 }
 
+// cells runs the n figure cells at(i) over internal/spec's streaming
+// executor, recording into c.Obs, and returns their reports by index.
+// A failed cell fails the figure, its error prefixed with name(i).
+func (c Config) cells(ctx context.Context, n int, at func(i int) spec.Spec, name func(i int) string) ([]*spec.RunReport, error) {
+	exec := func(ctx context.Context, i int, s spec.Spec) *spec.Cell {
+		return spec.RunCellWith(ctx, i, s, c.Obs)
+	}
+	reports := make([]*spec.RunReport, n)
+	for i, cell := range spec.StreamWith(ctx, n, c.Workers, at, exec) {
+		if cell.Err != nil {
+			return nil, fmt.Errorf("%s: %w", name(i), cell.Err)
+		}
+		reports[i] = cell.Report
+	}
+	return reports, ctx.Err()
+}
+
 // intervalLP solves the geometric-interval LP with growth rate eps,
 // starting at horizon under core.Grow, and rounds it with the λ=1
 // heuristic.
-func intervalLP(ctx context.Context, in *coflow.Instance, mode coflow.Model, horizon, eps float64) (*model.Solution, *core.Evaluated, error) {
+func (c Config) intervalLP(ctx context.Context, in *coflow.Instance, mode coflow.Model, horizon, eps float64) (*model.Solution, *core.Evaluated, error) {
 	var grid timegrid.Grid
 	sol, err := core.Grow(horizon, func(h float64) (*model.Solution, error) {
 		grid = timegrid.Geometric(h, eps)
-		return core.SolveLP(ctx, in, mode, core.Options{Grid: grid})
+		return core.SolveLP(ctx, in, mode, core.Options{Grid: grid, Obs: c.Obs})
 	})
 	if err != nil {
 		return nil, nil, err
@@ -359,14 +383,10 @@ func freePath(ctx context.Context, c Config, topo string, unit bool, figure stri
 		}
 		return s
 	}
-	reports := make([]*spec.RunReport, len(workload.Kinds)*ns)
-	for i, cell := range spec.Stream(ctx, len(reports), c.Workers, at) {
-		if cell.Err != nil {
-			return nil, fmt.Errorf("%s %v (%s): %w", figure, workload.Kinds[i/ns], scheds[i%ns], cell.Err)
-		}
-		reports[i] = cell.Report
-	}
-	if err := ctx.Err(); err != nil {
+	reports, err := c.cells(ctx, len(workload.Kinds)*ns, at, func(i int) string {
+		return fmt.Sprintf("%s %v (%s)", figure, workload.Kinds[i/ns], scheds[i%ns])
+	})
+	if err != nil {
 		return nil, err
 	}
 	for k, kind := range workload.Kinds {
@@ -427,7 +447,7 @@ func Figure8(ctx context.Context, c Config) (*FigureResult, error) {
 	rows, err := pool.Map(ctx, len(eps), c.Workers, func(i int) (Row, error) {
 		e := eps[i]
 		c.logf("Figure 8: ε = %.4g", e)
-		sol, heur, err := intervalLP(ctx, in, coflow.FreePath, horizon, e)
+		sol, heur, err := c.intervalLP(ctx, in, coflow.FreePath, horizon, e)
 		if err != nil {
 			return Row{}, fmt.Errorf("figure 8 ε=%g: %w", e, err)
 		}
@@ -479,7 +499,7 @@ func singlePath(ctx context.Context, c Config, topo, figure string) (*FigureResu
 			return Row{}, err
 		}
 		cell.Instance, cell.Topology, cell.Workload = in, "", nil
-		rep, err := spec.Run(ctx, cell)
+		rep, err := spec.RunWith(ctx, cell, c.Obs)
 		if err != nil {
 			return Row{}, fmt.Errorf("%s %v (uniform): %w", figure, kind, err)
 		}
@@ -493,7 +513,7 @@ func singlePath(ctx context.Context, c Config, topo, figure string) (*FigureResu
 		if !ok || horizon < 1 {
 			return Row{}, fmt.Errorf("%s %v: heuristic cell reported no usable grid-slots (%v)", figure, kind, horizon)
 		}
-		solInt, heurInt, err := intervalLP(ctx, in, coflow.SinglePath, horizon, 0.2)
+		solInt, heurInt, err := c.intervalLP(ctx, in, coflow.SinglePath, horizon, 0.2)
 		if err != nil {
 			return Row{}, fmt.Errorf("%s %v (interval): %w", figure, kind, err)
 		}

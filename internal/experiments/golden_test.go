@@ -19,6 +19,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // goldenFigure is a figure with the configuration its golden table was
@@ -140,4 +143,39 @@ func TestFigureT1MatchesLegacy(t *testing.T) {
 // table.
 func TestFigureT1DeterministicAcrossWorkers(t *testing.T) {
 	requireGolden(t, goldenT1, 4)
+}
+
+// withObs is fig at its golden configuration with reg attached.
+func withObs(fig goldenFigure, reg *obs.Registry) goldenFigure {
+	cfg := fig.cfg
+	fig.cfg = func(workers int) Config {
+		c := cfg(workers)
+		c.Obs = reg
+		return c
+	}
+	return fig
+}
+
+// TestFigure8RecordsTelemetry: with a registry, Figure 8 records at
+// least one simplex solve per ε cell, and its table is still the
+// golden one.
+func TestFigure8RecordsTelemetry(t *testing.T) {
+	reg := obs.NewRegistry()
+	requireGolden(t, withObs(goldenFigure{"figure8", Figure8, smallConfig}, reg), 1)
+	want := int64(len(Small().EpsSweep))
+	if n := reg.Snapshot().Counters["simplex_solves_total"]; n < want {
+		t.Fatalf("simplex_solves_total = %d, want ≥ %d (one per ε cell)", n, want)
+	}
+}
+
+// TestFigure9RecordsHeuristicCells: with a registry, Figure 9 times its
+// heuristic cell once per workload, and its table is still the golden
+// one.
+func TestFigure9RecordsHeuristicCells(t *testing.T) {
+	reg := obs.NewRegistry()
+	requireGolden(t, withObs(goldenFigure{"figure9", Figure9, smallConfig}, reg), 1)
+	got := reg.Snapshot().Timings[`engine_schedule{scheduler="heuristic"}`].Count
+	if want := int64(len(workload.Kinds)); got != want {
+		t.Fatalf("heuristic cells recorded = %d, want %d (one per workload)", got, want)
+	}
 }

@@ -196,16 +196,11 @@ func FigureO1(ctx context.Context, c Config) (*FigureResult, error) {
 		}
 		return s
 	}
-	reports := make([]*spec.RunReport, len(points)*runs)
-	for i, cell := range spec.Stream(ctx, len(reports), c.Workers, at) {
-		if cell.Err != nil {
-			pi := i / runs
-			return nil, fmt.Errorf("O1 %s λ=%.2g (%s): %w",
-				points[pi].kind, points[pi].load, cell.Spec.Policy, cell.Err)
-		}
-		reports[i] = cell.Report
-	}
-	if err := ctx.Err(); err != nil {
+	reports, err := c.cells(ctx, len(points)*runs, at, func(i int) string {
+		p := points[i/runs]
+		return fmt.Sprintf("O1 %s λ=%.2g (%s)", p.kind, p.load, at(i).Policy)
+	})
+	if err != nil {
 		return nil, err
 	}
 	rows := make([]Row, len(points))

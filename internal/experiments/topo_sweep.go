@@ -93,14 +93,10 @@ func FigureT1(ctx context.Context, c Config) (*FigureResult, error) {
 			},
 		}
 	}
-	reports := make([]*spec.RunReport, len(T1Specs)*ns)
-	for i, cell := range spec.Stream(ctx, len(reports), c.Workers, at) {
-		if cell.Err != nil {
-			return nil, fmt.Errorf("T1 %s (%s): %w", T1Specs[i/ns], T1Schedulers[i%ns], cell.Err)
-		}
-		reports[i] = cell.Report
-	}
-	if err := ctx.Err(); err != nil {
+	reports, err := c.cells(ctx, len(T1Specs)*ns, at, func(i int) string {
+		return fmt.Sprintf("T1 %s (%s)", T1Specs[i/ns], T1Schedulers[i%ns])
+	})
+	if err != nil {
 		return nil, err
 	}
 	rows := make([]Row, len(T1Specs))

@@ -223,18 +223,10 @@ func (g *Graph) ShortestPath(s, t NodeID) []EdgeID {
 	return path
 }
 
-// RandomShortestPath returns a uniformly random shortest s→t path
-// (by hop count), the convention the paper uses to assign paths in the
-// single path model ("we randomly select one of the shortest paths").
-// Returns nil when t is unreachable. It is a one-draw PathSampler;
-// callers drawing many paths should keep one sampler instead.
-func (g *Graph) RandomShortestPath(rng *rand.Rand, s, t NodeID) []EdgeID {
-	return NewPathSampler(g).Sample(rng, s, t)
-}
-
-// PathSampler draws uniformly random shortest paths, as
-// RandomShortestPath does, from per-source tables: a source's hop
-// distances and shortest-path counts are computed on its first draw
+// PathSampler draws uniformly random shortest paths (by hop count),
+// the convention the paper uses to assign paths in the single path
+// model ("we randomly select one of the shortest paths"), from
+// per-source tables: a source's hop distances and shortest-path counts are computed on its first draw
 // and kept, so later draws from that source only walk back from the
 // sink. The tables cost 16 bytes per node for each distinct source
 // drawn from. A sampler is not safe for concurrent use.

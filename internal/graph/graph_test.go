@@ -240,7 +240,7 @@ func TestRandomShortestPathIsShortestAndValid(t *testing.T) {
 		if s == d {
 			return true
 		}
-		p := g.RandomShortestPath(r, s, d)
+		p := NewPathSampler(g).Sample(r, s, d)
 		if p == nil {
 			return false
 		}
@@ -260,10 +260,11 @@ func TestRandomShortestPathUniform(t *testing.T) {
 	g := Figure2()
 	s, d := g.MustNode("s"), g.MustNode("t")
 	rng := rand.New(rand.NewSource(9))
+	ps := NewPathSampler(g)
 	counts := map[NodeID]int{}
 	const trials = 3000
 	for i := 0; i < trials; i++ {
-		p := g.RandomShortestPath(rng, s, d)
+		p := ps.Sample(rng, s, d)
 		mid := g.Edge(p[0]).To
 		counts[mid]++
 	}
@@ -282,13 +283,13 @@ func TestRandomShortestPathUnreachable(t *testing.T) {
 	g := Gadget(2)
 	x0, _ := GadgetPair(g, 0)
 	x1, _ := GadgetPair(g, 1)
-	if p := g.RandomShortestPath(rand.New(rand.NewSource(1)), x0, x1); p != nil {
+	if p := NewPathSampler(g).Sample(rand.New(rand.NewSource(1)), x0, x1); p != nil {
 		t.Fatal("expected nil path for unreachable pair")
 	}
 }
 
-// RandomShortestPathReference is RandomShortestPath as it was before
-// PathSampler: per call one BFS, one shortest-path count table built
+// RandomShortestPathReference is the shortest-path sampler as it was
+// before PathSampler: per call one BFS, one shortest-path count table built
 // in a distance-sorted node order, a backward walk and a reverse. It
 // is the oracle TestPathSamplerMatchesReference holds the sampler to,
 // exported to that test because it lives in package graph_test (it

@@ -49,8 +49,7 @@ type LP struct {
 
 	x  [][]lp.VarID   // [flat][slot], -1 below first slot
 	y  [][]lp.VarID   // cumulative y: [flat][slot], -1 below first slot
-	xe [][][]lp.VarID // free path: [flat][slot][edge], nil rows below first
-	xp [][][]lp.VarID // multi path: [flat][slot][pathIdx], nil below first
+	xr [][][]lp.VarID // routes: [flat][slot][edge or pathIdx], nil below first; nil for single path
 	xj [][]lp.VarID   // X_j: [coflow][slot], -1 where fixed to 0
 	cj []lp.VarID     // C_j per coflow
 
@@ -72,12 +71,11 @@ type Solution struct {
 	CStar []float64
 	// Frac[f][k] is the fraction of flat flow f scheduled in slot k.
 	Frac [][]float64
-	// EdgeFrac[f][k][e] is the per-edge fraction (free path only; nil
-	// for single path).
-	EdgeFrac [][][]float64
-	// PathFrac[f][k][p] is the per-candidate-path fraction (multi
-	// path model only; nil otherwise).
-	PathFrac [][][]float64
+	// Route[f][k][r] splits Frac[f][k] over flow f's routes: edge r in
+	// the free path model, candidate path AltPaths[r] in the multi path
+	// model. It is nil in the single path model, whose flows have one
+	// fixed Path.
+	Route [][][]float64
 	// Iterations is the simplex iteration count.
 	Iterations int
 	// Basis is the optimal basis, positional over this relaxation's
@@ -159,59 +157,21 @@ func BuildFreePath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 	k := grid.NumSlots()
 	ne := g.NumEdges()
 
-	l.xe = make([][][]lp.VarID, len(l.flows))
+	l.xr = make([][][]lp.VarID, len(l.flows))
 	for f, ref := range l.flows {
 		fl := inst.FlowAt(ref)
-		l.xe[f] = make([][]lp.VarID, k)
+		l.xr[f] = make([][]lp.VarID, k)
 		for t := l.first[f]; t < k; t++ {
 			evars := make([]lp.VarID, ne)
 			for e := 0; e < ne; e++ {
 				evars[e] = m.AddVar("", 0, 1, 0)
 			}
-			l.xe[f][t] = evars
-
-			// Net outflow at the source equals x_f(t) (7).
-			src := m.AddConstr("", lp.EQ, 0)
-			for _, eid := range g.OutEdges(fl.Source) {
-				m.AddTerm(src, evars[eid], 1)
-			}
-			for _, eid := range g.InEdges(fl.Source) {
-				m.AddTerm(src, evars[eid], -1)
-			}
-			m.AddTerm(src, l.x[f][t], -1)
-
-			// Net inflow at the sink equals x_f(t) (8).
-			snk := m.AddConstr("", lp.EQ, 0)
-			for _, eid := range g.InEdges(fl.Sink) {
-				m.AddTerm(snk, evars[eid], 1)
-			}
-			for _, eid := range g.OutEdges(fl.Sink) {
-				m.AddTerm(snk, evars[eid], -1)
-			}
-			m.AddTerm(snk, l.x[f][t], -1)
-
-			// Conservation at the other nodes (9).
-			for v := 0; v < g.NumNodes(); v++ {
-				if v == int(fl.Source) || v == int(fl.Sink) {
-					continue
-				}
-				ins := g.InEdges(graphNode(v))
-				outs := g.OutEdges(graphNode(v))
-				if len(ins) == 0 && len(outs) == 0 {
-					continue
-				}
-				row := m.AddConstr("", lp.EQ, 0)
-				for _, eid := range ins {
-					m.AddTerm(row, evars[eid], 1)
-				}
-				for _, eid := range outs {
-					m.AddTerm(row, evars[eid], -1)
-				}
-			}
+			l.xr[f][t] = evars
+			AddConservation(m, g, fl.Source, fl.Sink, evars, l.x[f][t], 1)
 		}
 	}
 
-	// Capacity rows (10)/(23): Σ_f σ_f · xe_f(t,e) ≤ c(e)·len(t).
+	// Capacity rows (10)/(23): Σ_f σ_f · x_f(t,e) ≤ c(e)·len(t).
 	for e := 0; e < ne; e++ {
 		capE := g.Edge(graphEdge(e)).Capacity
 		for t := 0; t < k; t++ {
@@ -223,11 +183,43 @@ func BuildFreePath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 				if row < 0 {
 					row = m.AddConstr("", lp.LE, capE*grid.Len(t))
 				}
-				m.AddTerm(row, l.xe[f][t][e], inst.FlowAt(l.flows[f]).Demand)
+				m.AddTerm(row, l.xr[f][t][e], inst.FlowAt(l.flows[f]).Demand)
 			}
 		}
 	}
 	return l, nil
+}
+
+// AddConservation adds the flow conservation rows (7)–(9) of one flow
+// routed over the per-edge variables edge (indexed by EdgeID): net
+// outflow at src equals coef·v, net inflow at sink equals coef·v, and
+// every other node with an edge conserves flow. The rows are
+// equalities, added in that order, the other nodes by ID.
+// BuildFreePath routes x_f(t) with coef 1; the Terra baseline's
+// concurrent-flow LP routes μ with coef rem_i.
+func AddConservation(m *lp.Model, g *graph.Graph, src, sink graph.NodeID, edge []lp.VarID, v lp.VarID, coef float64) {
+	terms := func(row lp.ConstrID, plus, minus []graph.EdgeID) {
+		for _, e := range plus {
+			m.AddTerm(row, edge[e], 1)
+		}
+		for _, e := range minus {
+			m.AddTerm(row, edge[e], -1)
+		}
+	}
+	row := m.AddConstr("", lp.EQ, 0)
+	terms(row, g.OutEdges(src), g.InEdges(src))
+	m.AddTerm(row, v, -coef)
+	row = m.AddConstr("", lp.EQ, 0)
+	terms(row, g.InEdges(sink), g.OutEdges(sink))
+	m.AddTerm(row, v, -coef)
+	for n := 0; n < g.NumNodes(); n++ {
+		node := graph.NodeID(n)
+		ins, outs := g.InEdges(node), g.OutEdges(node)
+		if node == src || node == sink || len(ins)+len(outs) == 0 {
+			continue
+		}
+		terms(m.AddConstr("", lp.EQ, 0), ins, outs)
+	}
 }
 
 // buildCommon creates the variables and constraints shared by both
@@ -453,52 +445,32 @@ func (l *LP) SolveWarm(ctx context.Context, opt simplex.Options, warm *lp.Basis)
 			}
 		}
 	}
-	if l.Mode == coflow.MultiPath {
-		sol.PathFrac = make([][][]float64, len(l.flows))
-		for f, ref := range l.flows {
-			np := len(l.Inst.FlowAt(ref).AltPaths)
-			sol.PathFrac[f] = make([][]float64, k)
-			for t := 0; t < k; t++ {
-				pf := make([]float64, np)
-				if t >= l.first[f] && l.xp[f][t] != nil {
-					for p := 0; p < np; p++ {
-						if v := raw.Value(l.xp[f][t][p]); v > 1e-9 {
-							pf[p] = v
-						}
-					}
-				}
-				sol.PathFrac[f][t] = pf
-			}
-		}
-	}
-	if l.Mode == coflow.FreePath {
-		ne := l.Inst.Graph.NumEdges()
-		sol.EdgeFrac = make([][][]float64, len(l.flows))
+	if l.xr != nil {
+		sol.Route = make([][][]float64, len(l.flows))
 		for f := range l.flows {
-			sol.EdgeFrac[f] = make([][]float64, k)
-			for t := 0; t < k; t++ {
-				ef := make([]float64, ne)
+			width := len(l.xr[f][k-1]) // every flow can use the last slot
+			sol.Route[f] = make([][]float64, k)
+			for t := range sol.Route[f] {
+				route := make([]float64, width)
+				sol.Route[f][t] = route
 				// LP vertices may carry circulations (cycles with zero
-				// net flow); a slot whose total fraction is zero ships
-				// nothing, so its edge values are dropped entirely.
-				// This keeps "idle slot" detection (schedule
+				// net flow); a free path slot whose total fraction is
+				// zero ships nothing, so its edge values are dropped
+				// entirely. This keeps "idle slot" detection (schedule
 				// compaction, Section 6.1) sound.
-				if t >= l.first[f] && l.xe[f][t] != nil && sol.Frac[f][t] > 1e-9 {
-					for e := 0; e < ne; e++ {
-						if v := raw.Value(l.xe[f][t][e]); v > 1e-9 {
-							ef[e] = v
-						}
+				if l.Mode == coflow.FreePath && sol.Frac[f][t] <= 1e-9 {
+					continue
+				}
+				for r, id := range l.xr[f][t] {
+					if v := raw.Value(id); v > 1e-9 {
+						route[r] = v
 					}
 				}
-				sol.EdgeFrac[f][t] = ef
 			}
 		}
 	}
 	return sol, nil
 }
-
-// graphNode converts an int loop index to a graph.NodeID.
-func graphNode(v int) graph.NodeID { return graph.NodeID(v) }
 
 // graphEdge converts an int loop index to a graph.EdgeID.
 func graphEdge(e int) graph.EdgeID { return graph.EdgeID(e) }

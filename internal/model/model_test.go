@@ -203,10 +203,10 @@ func TestFreePathConservationInExtraction(t *testing.T) {
 			// Net flow out of source equals Frac.
 			var net float64
 			for _, eid := range g.OutEdges(fl.Source) {
-				net += sol.EdgeFrac[f][k][eid]
+				net += sol.Route[f][k][eid]
 			}
 			for _, eid := range g.InEdges(fl.Source) {
-				net -= sol.EdgeFrac[f][k][eid]
+				net -= sol.Route[f][k][eid]
 			}
 			if math.Abs(net-sol.Frac[f][k]) > 1e-6 {
 				t.Fatalf("flow %d slot %d: net source flow %v ≠ frac %v", f, k, net, sol.Frac[f][k])
@@ -218,10 +218,10 @@ func TestFreePathConservationInExtraction(t *testing.T) {
 				}
 				var bal float64
 				for _, eid := range g.InEdges(v) {
-					bal += sol.EdgeFrac[f][k][eid]
+					bal += sol.Route[f][k][eid]
 				}
 				for _, eid := range g.OutEdges(v) {
-					bal -= sol.EdgeFrac[f][k][eid]
+					bal -= sol.Route[f][k][eid]
 				}
 				if math.Abs(bal) > 1e-6 {
 					t.Fatalf("flow %d slot %d node %d: conservation violated by %v", f, k, v, bal)
@@ -234,7 +234,7 @@ func TestFreePathConservationInExtraction(t *testing.T) {
 		for _, e := range g.Edges() {
 			var load float64
 			for f, ref := range l.Flows() {
-				load += in.FlowAt(ref).Demand * sol.EdgeFrac[f][k][e.ID]
+				load += in.FlowAt(ref).Demand * sol.Route[f][k][e.ID]
 			}
 			if load > e.Capacity*l.Grid.Len(k)+1e-6 {
 				t.Fatalf("slot %d edge %d: load %v > cap %v", k, e.ID, load, e.Capacity*l.Grid.Len(k))

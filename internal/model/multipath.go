@@ -17,7 +17,8 @@ import (
 //	Σ_{(f,p): e ∈ p} σ_f · x_{f,p}(t) ≤ c(e)·len(t)   ∀e, t.
 //
 // Single path is the special case of one candidate path; free path is
-// the limit of all paths. Solutions populate Solution.PathFrac.
+// the limit of all paths. Solutions route each slot's fraction over
+// the candidate paths in Solution.Route.
 func BuildMultiPath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 	if err := inst.Validate(coflow.MultiPath); err != nil {
 		return nil, err
@@ -29,11 +30,11 @@ func BuildMultiPath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 	m := l.Model
 	k := grid.NumSlots()
 
-	l.xp = make([][][]lp.VarID, len(l.flows))
+	l.xr = make([][][]lp.VarID, len(l.flows))
 	l.capRow = idTable[lp.ConstrID](inst.Graph.NumEdges(), k)
 	for f, ref := range l.flows {
 		fl := inst.FlowAt(ref)
-		l.xp[f] = make([][]lp.VarID, k)
+		l.xr[f] = make([][]lp.VarID, k)
 		for t := l.first[f]; t < k; t++ {
 			pv := make([]lp.VarID, len(fl.AltPaths))
 			link := m.AddConstr("", lp.EQ, 0)
@@ -45,7 +46,7 @@ func BuildMultiPath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
 					m.AddTerm(l.capacityRow(eid, t), pv[pi], fl.Demand)
 				}
 			}
-			l.xp[f][t] = pv
+			l.xr[f][t] = pv
 		}
 	}
 	return l, nil

@@ -35,8 +35,8 @@ func TestMultiPathFigure2AllPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.PathFrac == nil {
-		t.Fatal("PathFrac missing")
+	if sol.Route == nil {
+		t.Fatal("Route missing")
 	}
 	lf, err := BuildFreePath(figure2FreePath(), timegrid.Uniform(6))
 	if err != nil {
@@ -118,7 +118,7 @@ func TestMultiPathOnePathMatchesSinglePath(t *testing.T) {
 	}
 }
 
-func TestMultiPathPathFracConsistency(t *testing.T) {
+func TestMultiPathRouteConsistency(t *testing.T) {
 	in := figure2MultiPath(t, 3)
 	l, err := BuildMultiPath(in, timegrid.Uniform(6))
 	if err != nil {
@@ -131,7 +131,7 @@ func TestMultiPathPathFracConsistency(t *testing.T) {
 	for f := range sol.Frac {
 		for k := 0; k < l.Grid.NumSlots(); k++ {
 			var sum float64
-			for _, v := range sol.PathFrac[f][k] {
+			for _, v := range sol.Route[f][k] {
 				sum += v
 			}
 			if math.Abs(sum-sol.Frac[f][k]) > 1e-6 {

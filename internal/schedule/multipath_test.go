@@ -40,8 +40,8 @@ func figure2LPInstance(t *testing.T) *coflow.Instance {
 func TestMultiPathFromLPVerifies(t *testing.T) {
 	sol := multiPathLP(t, 6, 3)
 	s := FromLP(sol)
-	if s.PathFrac == nil {
-		t.Fatal("PathFrac not carried into schedule")
+	if s.Route == nil {
+		t.Fatal("Route not carried into schedule")
 	}
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
@@ -69,12 +69,12 @@ func TestMultiPathStretchAndClone(t *testing.T) {
 			t.Fatalf("λ=%v: %v", lambda, err)
 		}
 		c := s.Clone()
-		if c.PathFrac == nil {
-			t.Fatal("clone lost PathFrac")
+		if c.Route == nil {
+			t.Fatal("clone lost Route")
 		}
-		c.PathFrac[0][0][0] += 1
-		if s.PathFrac[0][0][0] == c.PathFrac[0][0][0] {
-			t.Fatal("clone shares PathFrac storage")
+		c.Route[0][0][0] += 1
+		if s.Route[0][0][0] == c.Route[0][0][0] {
+			t.Fatal("clone shares Route storage")
 		}
 	}
 }
@@ -82,20 +82,20 @@ func TestMultiPathStretchAndClone(t *testing.T) {
 func TestMultiPathVerifyCatchesViolations(t *testing.T) {
 	{
 		s := FromLP(multiPathLP(t, 6, 3))
-		s.PathFrac = nil
+		s.Route = nil
 		if err := s.Verify(); err == nil {
-			t.Error("missing PathFrac accepted")
+			t.Error("missing Route accepted")
 		}
 	}
 	{
 		// Break the Σ_p rates = frac consistency.
 		s := FromLP(multiPathLP(t, 6, 3))
 	outer:
-		for f := range s.PathFrac {
-			for k := range s.PathFrac[f] {
-				for p := range s.PathFrac[f][k] {
-					if s.PathFrac[f][k][p] > 0.1 {
-						s.PathFrac[f][k][p] *= 2
+		for f := range s.Route {
+			for k := range s.Route[f] {
+				for p := range s.Route[f][k] {
+					if s.Route[f][k][p] > 0.1 {
+						s.Route[f][k][p] *= 2
 						break outer
 					}
 				}
@@ -112,12 +112,12 @@ func TestMultiPathVerifyCatchesViolations(t *testing.T) {
 		f := 3 // the s→t flow is flattened last
 		for k := range s.Frac[f] {
 			s.Frac[f][k] = 0
-			for p := range s.PathFrac[f][k] {
-				s.PathFrac[f][k][p] = 0
+			for p := range s.Route[f][k] {
+				s.Route[f][k][p] = 0
 			}
 		}
 		s.Frac[f][0] = 1
-		s.PathFrac[f][0][0] = 1
+		s.Route[f][0][0] = 1
 		if err := s.Verify(); err == nil {
 			t.Error("edge overload accepted")
 		}
@@ -125,7 +125,7 @@ func TestMultiPathVerifyCatchesViolations(t *testing.T) {
 	{
 		// Negative path rate.
 		s := FromLP(multiPathLP(t, 6, 3))
-		s.PathFrac[0][0][0] = -0.5
+		s.Route[0][0][0] = -0.5
 		if err := s.Verify(); err == nil {
 			t.Error("negative path rate accepted")
 		}

@@ -35,79 +35,51 @@ import (
 const Eps = 1e-7
 
 // Schedule is a slotted transmission plan. Frac[f][k] is the fraction
-// of flat flow f transmitted during slot k; in the free path model
-// EdgeFrac[f][k][e] additionally routes that fraction over edges.
+// of flat flow f transmitted during slot k.
 type Schedule struct {
-	Inst     *coflow.Instance
-	Mode     coflow.Model
-	Grid     timegrid.Grid
-	Flows    []coflow.FlowRef
-	Frac     [][]float64
-	EdgeFrac [][][]float64 // free path only: [flow][slot][edge]
-	PathFrac [][][]float64 // multi path only: [flow][slot][pathIdx]
+	Inst  *coflow.Instance
+	Mode  coflow.Model
+	Grid  timegrid.Grid
+	Flows []coflow.FlowRef
+	Frac  [][]float64
+	// Route[f][k][r] splits Frac[f][k] over flow f's routes: edge r in
+	// the free path model (a conserved edge flow), candidate path
+	// AltPaths[r] in the multi path model. It is nil in the single path
+	// model, whose flows have one fixed Path.
+	Route [][][]float64
 }
 
 // FromLP converts a solved relaxation into a schedule by taking the LP
 // solution directly — the λ=1 LP-based heuristic of Section 6.2.
 func FromLP(sol *model.Solution) *Schedule {
-	k := sol.LP.Grid.NumSlots()
 	s := &Schedule{
 		Inst:  sol.LP.Inst,
 		Mode:  sol.LP.Mode,
 		Grid:  sol.LP.Grid,
 		Flows: sol.LP.Flows(),
+		Frac:  sol.Frac,
+		Route: sol.Route,
 	}
-	s.Frac = make([][]float64, len(s.Flows))
-	for f := range s.Flows {
-		s.Frac[f] = append([]float64(nil), sol.Frac[f]...)
-	}
-	if sol.EdgeFrac != nil {
-		s.EdgeFrac = make([][][]float64, len(s.Flows))
-		for f := range s.Flows {
-			s.EdgeFrac[f] = make([][]float64, k)
-			for t := 0; t < k; t++ {
-				s.EdgeFrac[f][t] = append([]float64(nil), sol.EdgeFrac[f][t]...)
-			}
-		}
-	}
-	if sol.PathFrac != nil {
-		s.PathFrac = make([][][]float64, len(s.Flows))
-		for f := range s.Flows {
-			s.PathFrac[f] = make([][]float64, k)
-			for t := 0; t < k; t++ {
-				s.PathFrac[f][t] = append([]float64(nil), sol.PathFrac[f][t]...)
-			}
-		}
-	}
-	return s
+	return s.Clone()
 }
 
 // Clone deep-copies the schedule.
 func (s *Schedule) Clone() *Schedule {
-	c := &Schedule{Inst: s.Inst, Mode: s.Mode, Grid: s.Grid, Flows: s.Flows}
+	c := *s
 	c.Frac = make([][]float64, len(s.Frac))
 	for f := range s.Frac {
 		c.Frac[f] = append([]float64(nil), s.Frac[f]...)
 	}
-	if s.EdgeFrac != nil {
-		c.EdgeFrac = make([][][]float64, len(s.EdgeFrac))
-		for f := range s.EdgeFrac {
-			c.EdgeFrac[f] = make([][]float64, len(s.EdgeFrac[f]))
-			for t := range s.EdgeFrac[f] {
-				c.EdgeFrac[f][t] = append([]float64(nil), s.EdgeFrac[f][t]...)
+	if s.Route != nil {
+		c.Route = make([][][]float64, len(s.Route))
+		for f := range s.Route {
+			c.Route[f] = make([][]float64, len(s.Route[f]))
+			for t := range s.Route[f] {
+				c.Route[f][t] = append([]float64(nil), s.Route[f][t]...)
 			}
 		}
 	}
-	if s.PathFrac != nil {
-		c.PathFrac = make([][][]float64, len(s.PathFrac))
-		for f := range s.PathFrac {
-			c.PathFrac[f] = make([][]float64, len(s.PathFrac[f]))
-			for t := range s.PathFrac[f] {
-				c.PathFrac[f][t] = append([]float64(nil), s.PathFrac[f][t]...)
-			}
-		}
-	}
-	return c
+	return &c
 }
 
 // FlowCompletionTimes returns, per flat flow, the end of the last
@@ -157,16 +129,20 @@ func (s *Schedule) WeightedCompletion() float64 {
 }
 
 // Verify checks feasibility: every demand fully scheduled, no
-// transmission before release, per-slot capacity respected, and (free
-// path) per-flow conservation with edge routing consistent with Frac.
+// transmission before release, per-slot capacity respected, and the
+// routing consistent with Frac (multi path: path rates summing to it;
+// free path: per-flow conservation with net source outflow equal to it).
 func (s *Schedule) Verify() error {
 	g := s.Inst.Graph
 	k := s.Grid.NumSlots()
-	if s.Mode == coflow.FreePath && s.EdgeFrac == nil {
-		return fmt.Errorf("schedule: free path schedule without edge routing")
-	}
-	if s.Mode == coflow.MultiPath && s.PathFrac == nil {
-		return fmt.Errorf("schedule: multi path schedule without path rates")
+	switch s.Mode {
+	case coflow.SinglePath:
+	case coflow.FreePath, coflow.MultiPath:
+		if s.Route == nil {
+			return fmt.Errorf("schedule: %v schedule without routing", s.Mode)
+		}
+	default:
+		return fmt.Errorf("schedule: unknown mode %v", s.Mode)
 	}
 
 	for f, ref := range s.Flows {
@@ -190,30 +166,18 @@ func (s *Schedule) Verify() error {
 		}
 	}
 
-	switch s.Mode {
-	case coflow.SinglePath:
-		for t := 0; t < k; t++ {
-			load := make([]float64, g.NumEdges())
-			for f, ref := range s.Flows {
-				fl := s.Inst.FlowAt(ref)
+	load := make([]float64, g.NumEdges())
+	for t := 0; t < k; t++ {
+		zero(load)
+		for f, ref := range s.Flows {
+			fl := s.Inst.FlowAt(ref)
+			switch s.Mode {
+			case coflow.SinglePath:
 				for _, eid := range fl.Path {
 					load[eid] += fl.Demand * s.Frac[f][t]
 				}
-			}
-			for _, e := range g.Edges() {
-				capT := e.Capacity * s.Grid.Len(t)
-				if load[e.ID] > capT*(1+1e-6)+1e-9 {
-					return fmt.Errorf("schedule: slot %d edge %d load %g exceeds capacity %g",
-						t, e.ID, load[e.ID], capT)
-				}
-			}
-		}
-	case coflow.MultiPath:
-		for t := 0; t < k; t++ {
-			load := make([]float64, g.NumEdges())
-			for f, ref := range s.Flows {
-				fl := s.Inst.FlowAt(ref)
-				pf := s.PathFrac[f][t]
+			case coflow.MultiPath:
+				pf := s.Route[f][t]
 				if len(pf) != len(fl.AltPaths) {
 					return fmt.Errorf("schedule: flow %d slot %d has %d path rates, want %d",
 						f, t, len(pf), len(fl.AltPaths))
@@ -232,21 +196,8 @@ func (s *Schedule) Verify() error {
 					return fmt.Errorf("schedule: flow %d slot %d path rates sum %g ≠ frac %g",
 						f, t, total, s.Frac[f][t])
 				}
-			}
-			for _, e := range g.Edges() {
-				capT := e.Capacity * s.Grid.Len(t)
-				if load[e.ID] > capT*(1+1e-6)+1e-9 {
-					return fmt.Errorf("schedule: slot %d edge %d load %g exceeds capacity %g",
-						t, e.ID, load[e.ID], capT)
-				}
-			}
-		}
-	case coflow.FreePath:
-		for t := 0; t < k; t++ {
-			load := make([]float64, g.NumEdges())
-			for f, ref := range s.Flows {
-				fl := s.Inst.FlowAt(ref)
-				ef := s.EdgeFrac[f][t]
+			case coflow.FreePath:
+				ef := s.Route[f][t]
 				// Net source outflow must equal Frac.
 				var net float64
 				for _, eid := range g.OutEdges(fl.Source) {
@@ -284,16 +235,14 @@ func (s *Schedule) Verify() error {
 					load[e] += fl.Demand * ef[e]
 				}
 			}
-			for _, e := range g.Edges() {
-				capT := e.Capacity * s.Grid.Len(t)
-				if load[e.ID] > capT*(1+1e-6)+1e-9 {
-					return fmt.Errorf("schedule: slot %d edge %d load %g exceeds capacity %g",
-						t, e.ID, load[e.ID], capT)
-				}
+		}
+		for _, e := range g.Edges() {
+			capT := e.Capacity * s.Grid.Len(t)
+			if load[e.ID] > capT*(1+1e-6)+1e-9 {
+				return fmt.Errorf("schedule: slot %d edge %d load %g exceeds capacity %g",
+					t, e.ID, load[e.ID], capT)
 			}
 		}
-	default:
-		return fmt.Errorf("schedule: unknown mode %v", s.Mode)
 	}
 	return nil
 }
@@ -313,11 +262,11 @@ func (s *Schedule) Compact() int {
 			}
 		}
 		// Edge-level activity (e.g. circulations in LP vertices) also
-		// marks a slot busy: merging into such a slot could overload
-		// its edges.
-		if s.EdgeFrac != nil {
-			for t := range s.EdgeFrac[f] {
-				if !occupied[t] && anyPositive(s.EdgeFrac[f][t]) {
+		// marks a free path slot busy: merging into such a slot could
+		// overload its edges.
+		if s.Mode == coflow.FreePath {
+			for t, route := range s.Route[f] {
+				if !occupied[t] && anyPositive(route) {
 					occupied[t] = true
 				}
 			}
@@ -368,16 +317,10 @@ func (s *Schedule) moveSlot(t, tp int) {
 	for f := range s.Frac {
 		s.Frac[f][tp] += s.Frac[f][t]
 		s.Frac[f][t] = 0
-		if s.EdgeFrac != nil {
-			for e := range s.EdgeFrac[f][t] {
-				s.EdgeFrac[f][tp][e] += s.EdgeFrac[f][t][e]
-				s.EdgeFrac[f][t][e] = 0
-			}
-		}
-		if s.PathFrac != nil {
-			for p := range s.PathFrac[f][t] {
-				s.PathFrac[f][tp][p] += s.PathFrac[f][t][p]
-				s.PathFrac[f][t][p] = 0
+		if s.Route != nil {
+			for r := range s.Route[f][t] {
+				s.Route[f][tp][r] += s.Route[f][t][r]
+				s.Route[f][t][r] = 0
 			}
 		}
 	}
@@ -419,35 +362,25 @@ func Stretch(sol *model.Solution, lambda float64) (*Schedule, error) {
 	}
 	nf := len(s.Flows)
 	s.Frac = make([][]float64, nf)
-	free := sol.EdgeFrac != nil
-	multi := sol.PathFrac != nil
-	if free {
-		s.EdgeFrac = make([][][]float64, nf)
+	routed := sol.Route != nil
+	if routed {
+		s.Route = make([][][]float64, nf)
 	}
-	if multi {
-		s.PathFrac = make([][][]float64, nf)
-	}
-	ne := sol.LP.Inst.Graph.NumEdges()
+	free := s.Mode == coflow.FreePath
 
 	for f := 0; f < nf; f++ {
 		s.Frac[f] = make([]float64, newK)
-		if free {
-			s.EdgeFrac[f] = make([][]float64, newK)
-			for t := 0; t < newK; t++ {
-				s.EdgeFrac[f][t] = make([]float64, ne)
-			}
-		}
-		if multi {
-			np := len(sol.PathFrac[f][0])
-			s.PathFrac[f] = make([][]float64, newK)
-			for t := 0; t < newK; t++ {
-				s.PathFrac[f][t] = make([]float64, np)
+		if routed {
+			width := len(sol.Route[f][0])
+			s.Route[f] = make([][]float64, newK)
+			for t := range s.Route[f] {
+				s.Route[f][t] = make([]float64, width)
 			}
 		}
 		for src := 0; src < k; src++ {
 			v := sol.Frac[f][src]
-			hasEdges := free && anyPositive(sol.EdgeFrac[f][src])
-			if v <= Eps && !hasEdges {
+			// A free path slot with edge activity alone is replayed too.
+			if v <= Eps && !(free && anyPositive(sol.Route[f][src])) {
 				continue
 			}
 			// Image of slot src = (src, src+1] is (src/λ, (src+1)/λ].
@@ -459,17 +392,10 @@ func Stretch(sol *model.Solution, lambda float64) (*Schedule, error) {
 					continue
 				}
 				s.Frac[f][j] += v * ov
-				if free {
-					for e := 0; e < ne; e++ {
-						if w := sol.EdgeFrac[f][src][e]; w > 0 {
-							s.EdgeFrac[f][j][e] += w * ov
-						}
-					}
-				}
-				if multi {
-					for p, w := range sol.PathFrac[f][src] {
+				if routed {
+					for r, w := range sol.Route[f][src] {
 						if w > 0 {
-							s.PathFrac[f][j][p] += w * ov
+							s.Route[f][j][r] += w * ov
 						}
 					}
 				}
@@ -481,25 +407,17 @@ func Stretch(sol *model.Solution, lambda float64) (*Schedule, error) {
 			v := s.Frac[f][j]
 			if cum >= 1-1e-12 {
 				s.Frac[f][j] = 0
-				if free {
-					zero(s.EdgeFrac[f][j])
-				}
-				if multi {
-					zero(s.PathFrac[f][j])
+				if routed {
+					zero(s.Route[f][j])
 				}
 				continue
 			}
 			if cum+v > 1 {
 				scale := (1 - cum) / v
 				s.Frac[f][j] = v * scale
-				if free {
-					for e := range s.EdgeFrac[f][j] {
-						s.EdgeFrac[f][j][e] *= scale
-					}
-				}
-				if multi {
-					for p := range s.PathFrac[f][j] {
-						s.PathFrac[f][j][p] *= scale
+				if routed {
+					for r := range s.Route[f][j] {
+						s.Route[f][j][r] *= scale
 					}
 				}
 				cum = 1

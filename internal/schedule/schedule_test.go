@@ -347,10 +347,10 @@ func TestVerifyCatchesViolations(t *testing.T) {
 	{
 		// Free path: break conservation.
 		s := FromLP(figure2LP(t, coflow.FreePath, 6))
-		for k := range s.EdgeFrac[0] {
-			for e := range s.EdgeFrac[0][k] {
-				if s.EdgeFrac[0][k][e] > 0 {
-					s.EdgeFrac[0][k][e] *= 2
+		for k := range s.Route[0] {
+			for e := range s.Route[0][k] {
+				if s.Route[0][k][e] > 0 {
+					s.Route[0][k][e] *= 2
 					if err := s.Verify(); err == nil {
 						t.Error("conservation violation accepted")
 					}
@@ -364,7 +364,7 @@ func TestVerifyCatchesViolations(t *testing.T) {
 
 func TestVerifyMissingEdgeRouting(t *testing.T) {
 	s := FromLP(figure2LP(t, coflow.FreePath, 6))
-	s.EdgeFrac = nil
+	s.Route = nil
 	if err := s.Verify(); err == nil {
 		t.Fatal("free-path schedule without routing accepted")
 	}
@@ -394,8 +394,8 @@ func TestCloneIsDeep(t *testing.T) {
 	if s.Frac[0][0] == c.Frac[0][0] {
 		t.Fatal("clone shares Frac")
 	}
-	c.EdgeFrac[0][0][0] += 0.25
-	if s.EdgeFrac[0][0][0] == c.EdgeFrac[0][0][0] {
-		t.Fatal("clone shares EdgeFrac")
+	c.Route[0][0][0] += 0.25
+	if s.Route[0][0][0] == c.Route[0][0][0] {
+		t.Fatal("clone shares Route")
 	}
 }

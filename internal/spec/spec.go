@@ -332,15 +332,6 @@ func Parse(data []byte) (*Spec, *SweepSpec, error) {
 	return &s, nil, nil
 }
 
-// ParseFile reads and Parses one JSON document from path.
-func ParseFile(path string) (*Spec, *SweepSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return Parse(data)
-}
-
 // Materialize normalizes the spec and builds the problem instance it
 // would run on, without running anything — for harnesses that share
 // one instance across several algorithms (the CLI's online comparison

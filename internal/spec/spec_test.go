@@ -284,7 +284,7 @@ func TestPresets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := sw.Count()
+		n, _, err := sw.Cells()
 		if err != nil {
 			t.Fatalf("preset %s: %v", name, err)
 		}

@@ -230,12 +230,6 @@ func (s *Spec) ensureWorkload() *Workload {
 	return s.Workload
 }
 
-// Count reports the total cell count of the expansion.
-func (sw SweepSpec) Count() (int, error) {
-	n, _, err := sw.Cells()
-	return n, err
-}
-
 // Cells validates the sweep and returns the cell count plus the
 // index→Spec decoder, for executors that schedule cells themselves —
 // coflowd routes every cell through its server-wide worker pool
@@ -295,23 +289,18 @@ func Sweep(ctx context.Context, sw SweepSpec) (int, iter.Seq2[int, *Cell], error
 		return 0, nil, err
 	}
 	n := c.count()
-	seq := Stream(ctx, n, sw.Workers, c.at)
+	seq := StreamWith(ctx, n, sw.Workers, c.at, RunCell)
 	return n, seq, nil
 }
 
-// Stream runs at(i) for every i in [0, n) over a bounded worker pool
-// and yields each cell as it completes. It is the executor under
-// Sweep, exported for harnesses (the figure presets) whose per-cell
-// specs follow a custom derivation — per-cell sub-seeds, say — that a
-// cross-product SweepSpec cannot express.
-func Stream(ctx context.Context, n, workers int, at func(i int) Spec) iter.Seq2[int, *Cell] {
-	return StreamWith(ctx, n, workers, at, RunCell)
-}
-
-// StreamWith is Stream with a custom cell executor: exec receives
-// each decoded cell and returns its streamed form. coflowd uses it to
-// gate every cell on its server-wide worker pool; exec must be safe
-// for concurrent use.
+// StreamWith runs exec on at(i) for every i in [0, n) over a bounded
+// worker pool and yields each cell as it completes; exec must be safe
+// for concurrent use. It is the executor under Sweep (exec RunCell),
+// exported for callers with cells of their own: coflowd gates every
+// cell on its server-wide worker pool, and the figure harnesses, whose
+// per-cell specs follow a custom derivation (per-cell sub-seeds, say)
+// that a cross-product SweepSpec cannot express, record every cell
+// into one registry.
 func StreamWith(ctx context.Context, n, workers int, at func(i int) Spec,
 	exec func(ctx context.Context, i int, s Spec) *Cell) iter.Seq2[int, *Cell] {
 	return func(yield func(int, *Cell) bool) {

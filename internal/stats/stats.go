@@ -53,11 +53,3 @@ func SubSeed(parent int64, stream uint64) int64 {
 	z ^= z >> 31
 	return int64(z)
 }
-
-// Ratio returns a/b, or +Inf when b is zero (used for speedup tables).
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return math.Inf(1)
-	}
-	return a / b
-}

@@ -35,12 +35,3 @@ func TestSubSeedDeterministicAndDistinct(t *testing.T) {
 		t.Fatal("SubSeed collisions on adjacent inputs")
 	}
 }
-
-func TestRatio(t *testing.T) {
-	if Ratio(6, 3) != 2 {
-		t.Fatal("ratio wrong")
-	}
-	if !math.IsInf(Ratio(1, 0), 1) {
-		t.Fatal("ratio by zero should be +Inf")
-	}
-}

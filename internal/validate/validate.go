@@ -202,33 +202,18 @@ func Schedule(s *schedule.Schedule) (*Report, []float64) {
 	}
 	switch s.Mode {
 	case coflow.SinglePath:
-	case coflow.FreePath:
-		if s.EdgeFrac == nil {
-			r.addf(KindStructure, "free path schedule without EdgeFrac routing")
+	case coflow.FreePath, coflow.MultiPath:
+		if s.Route == nil {
+			r.addf(KindStructure, "%v schedule without Route", s.Mode)
 			return r, nil
 		}
-		if len(s.EdgeFrac) != len(s.Flows) {
-			r.addf(KindStructure, "EdgeFrac has %d rows for %d flows", len(s.EdgeFrac), len(s.Flows))
+		if len(s.Route) != len(s.Flows) {
+			r.addf(KindStructure, "Route has %d rows for %d flows", len(s.Route), len(s.Flows))
 			return r, nil
 		}
-		for f := range s.EdgeFrac {
-			if len(s.EdgeFrac[f]) != k {
-				r.addf(KindStructure, "flow %d has %d EdgeFrac slots, grid has %d", f, len(s.EdgeFrac[f]), k)
-				return r, nil
-			}
-		}
-	case coflow.MultiPath:
-		if s.PathFrac == nil {
-			r.addf(KindStructure, "multi path schedule without PathFrac rates")
-			return r, nil
-		}
-		if len(s.PathFrac) != len(s.Flows) {
-			r.addf(KindStructure, "PathFrac has %d rows for %d flows", len(s.PathFrac), len(s.Flows))
-			return r, nil
-		}
-		for f := range s.PathFrac {
-			if len(s.PathFrac[f]) != k {
-				r.addf(KindStructure, "flow %d has %d PathFrac slots, grid has %d", f, len(s.PathFrac[f]), k)
+		for f := range s.Route {
+			if len(s.Route[f]) != k {
+				r.addf(KindStructure, "flow %d has %d Route slots, grid has %d", f, len(s.Route[f]), k)
 				return r, nil
 			}
 		}
@@ -300,7 +285,7 @@ func Schedule(s *schedule.Schedule) (*Report, []float64) {
 					load[eid] += fl.Demand * s.Frac[f][t]
 				}
 			case coflow.MultiPath:
-				pf := s.PathFrac[f][t]
+				pf := s.Route[f][t]
 				if len(pf) != len(fl.AltPaths) {
 					r.addf(KindStructure, "flow %d slot %d: %d path rates for %d candidate paths",
 						f, t, len(pf), len(fl.AltPaths))
@@ -321,7 +306,7 @@ func Schedule(s *schedule.Schedule) (*Report, []float64) {
 						f, t, sum, s.Frac[f][t])
 				}
 			case coflow.FreePath:
-				ef := s.EdgeFrac[f][t]
+				ef := s.Route[f][t]
 				if len(ef) != g.NumEdges() {
 					r.addf(KindStructure, "flow %d slot %d: %d edge rates for %d edges",
 						f, t, len(ef), g.NumEdges())

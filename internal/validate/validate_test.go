@@ -149,12 +149,12 @@ func TestOracleCatchesFreePathConservationViolation(t *testing.T) {
 		}},
 	}
 	sch := &schedule.Schedule{
-		Inst:     in,
-		Mode:     coflow.FreePath,
-		Grid:     timegrid.Uniform(2),
-		Flows:    in.FlattenFlows(),
-		Frac:     [][]float64{{1, 0}},
-		EdgeFrac: [][][]float64{{make([]float64, g.NumEdges()), make([]float64, g.NumEdges())}},
+		Inst:  in,
+		Mode:  coflow.FreePath,
+		Grid:  timegrid.Uniform(2),
+		Flows: in.FlattenFlows(),
+		Frac:  [][]float64{{1, 0}},
+		Route: [][][]float64{{make([]float64, g.NumEdges()), make([]float64, g.NumEdges())}},
 	}
 	// Route the full unit fraction out of s on both branches but only
 	// deliver one into t: conservation fails at v2.
@@ -167,32 +167,32 @@ func TestOracleCatchesFreePathConservationViolation(t *testing.T) {
 		t.Fatalf("no edge %v→%v", from, to)
 		return 0
 	}
-	sch.EdgeFrac[0][0][sEdge(s, v1)] = 0.5
-	sch.EdgeFrac[0][0][sEdge(v1, tn)] = 0.5
-	sch.EdgeFrac[0][0][sEdge(s, v2)] = 0.5
+	sch.Route[0][0][sEdge(s, v1)] = 0.5
+	sch.Route[0][0][sEdge(v1, tn)] = 0.5
+	sch.Route[0][0][sEdge(s, v2)] = 0.5
 	r, _ := Schedule(sch)
 	if r.Count(KindRouting) == 0 {
 		t.Fatalf("conservation violation not caught: %v", r.Violations)
 	}
 }
 
-// TestOracleReportsTruncatedRoutingArrays: malformed PathFrac/EdgeFrac
+// TestOracleReportsTruncatedRoutingArrays: malformed Route
 // shapes must surface as structure violations, not panics.
 func TestOracleReportsTruncatedRoutingArrays(t *testing.T) {
 	in := oneEdgeInstance(0)
 	s := feasibleSchedule(in, 4, 0)
 	s.Mode = coflow.MultiPath
-	s.PathFrac = [][][]float64{} // non-nil but empty
+	s.Route = [][][]float64{} // non-nil but empty
 	r, _ := Schedule(s)
 	if r.Count(KindStructure) == 0 {
-		t.Fatalf("empty PathFrac not caught: %v", r.Violations)
+		t.Fatalf("empty Route not caught: %v", r.Violations)
 	}
 	s = feasibleSchedule(in, 4, 0)
 	s.Mode = coflow.FreePath
-	s.EdgeFrac = [][][]float64{{{0}}} // one slot instead of four
+	s.Route = [][][]float64{{{0}}} // one slot instead of four
 	r, _ = Schedule(s)
 	if r.Count(KindStructure) == 0 {
-		t.Fatalf("short EdgeFrac not caught: %v", r.Violations)
+		t.Fatalf("short Route not caught: %v", r.Violations)
 	}
 }
 
