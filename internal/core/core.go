@@ -42,9 +42,9 @@ type Options struct {
 	// Trials is the number of randomized Stretch roundings Run
 	// performs on uniform grids (0 disables Stretch).
 	Trials int
-	// Seed drives the λ sampling. Each trial derives its own RNG from
-	// Seed and the trial index, so results are reproducible at any
-	// worker count.
+	// Seed drives the λ sampling. Trial i draws TrialLambda(Seed, i),
+	// a pure function of Seed and the trial index, so results are
+	// reproducible at any worker count.
 	Seed int64
 	// Workers bounds the goroutines used for Stretch trials (≤ 0 =
 	// GOMAXPROCS).
@@ -137,55 +137,56 @@ type StretchStats struct {
 }
 
 // TrialLambda returns the λ drawn for trial i under the given base
-// seed: each trial owns an RNG derived from (seed, i) with a
+// seed: the first draw of an RNG seeded with (seed, i) through a
 // splitmix64-style finalizer, so the sample sequence is a pure
 // function of the seed and index, independent of execution order.
+// StretchTrials draws the same values from one re-seeded RNG.
 func TrialLambda(seed int64, i int) float64 {
 	rng := rand.New(rand.NewSource(stats.SubSeed(seed, uint64(i))))
 	return schedule.SampleLambda(rng)
 }
 
 // StretchTrials samples k values of λ from the f(v)=2v density
-// (paper: k=20), rounds with each, and aggregates. Trials run on a
-// worker pool of opt.Workers goroutines; per-trial RNGs are derived
-// deterministically from opt.Seed, and aggregation happens in trial
-// order after the pool drains, so a fixed seed yields bit-identical
-// stats at any worker count.
+// (paper: k=20), rounds with each, and aggregates. Trial i draws
+// TrialLambda(opt.Seed, i), all k from one re-seeded RNG before the
+// rounding starts. Trials run on a worker pool of opt.Workers
+// goroutines, and aggregation happens in trial order after the pool
+// drains, so a fixed seed yields bit-identical stats at any worker
+// count.
 func StretchTrials(ctx context.Context, sol *model.Solution, k int, opt Options) (*StretchStats, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: StretchTrials needs k ≥ 1, got %d", k)
 	}
-	type trial struct {
-		lambda float64
-		ev     *Evaluated
+	// Re-seeding one RNG draws what TrialLambda's fresh one would,
+	// without a new source per trial.
+	lambdas := make([]float64, k)
+	rng := rand.New(rand.NewSource(0))
+	for i := range lambdas {
+		rng.Seed(stats.SubSeed(opt.Seed, uint64(i)))
+		lambdas[i] = schedule.SampleLambda(rng)
 	}
-	trials, err := pool.Map(ctx, k, opt.Workers, func(i int) (trial, error) {
-		lambda := TrialLambda(opt.Seed, i)
-		ev, err := StretchOnce(sol, lambda, opt)
-		if err != nil {
-			return trial{}, err
-		}
-		return trial{lambda: lambda, ev: ev}, nil
+	trials, err := pool.Map(ctx, k, opt.Workers, func(i int) (*Evaluated, error) {
+		return StretchOnce(sol, lambdas[i], opt)
 	})
 	if err != nil {
 		return nil, err
 	}
 	st := &StretchStats{
+		Samples:      make([]Evaluated, 0, k),
 		BestWeighted: math.Inf(1),
 		BestTotal:    math.Inf(1),
 	}
-	for _, tr := range trials {
-		ev := tr.ev
+	for _, ev := range trials {
 		st.Samples = append(st.Samples, *ev)
 		st.AvgWeighted += ev.Weighted
 		st.AvgTotal += ev.Total
 		if ev.Weighted < st.BestWeighted {
 			st.BestWeighted = ev.Weighted
-			st.BestLambda = tr.lambda
+			st.BestLambda = ev.Lambda
 		}
 		if ev.Total < st.BestTotal {
 			st.BestTotal = ev.Total
-			st.BestTotalLmbda = tr.lambda
+			st.BestTotalLmbda = ev.Lambda
 		}
 	}
 	st.AvgWeighted /= float64(k)

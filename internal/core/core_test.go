@@ -286,3 +286,31 @@ func TestTrialLambdaPureFunction(t *testing.T) {
 		t.Fatal("different seeds gave the same λ")
 	}
 }
+
+// TestStretchTrialsDrawTrialLambda: every trial of StretchTrials rounds
+// with exactly TrialLambda(seed, i), at one worker and at four, so a
+// replay that calls TrialLambda per trial sees the same λs.
+func TestStretchTrialsDrawTrialLambda(t *testing.T) {
+	ctx := context.Background()
+	opt := Options{Grid: timegrid.Uniform(6)}
+	sol, err := SolveLP(ctx, figure2Instance(true), coflow.SinglePath, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 20
+	for seed := int64(1); seed <= 50; seed++ {
+		for _, workers := range []int{1, 4} {
+			opt.Seed, opt.Workers = seed, workers
+			st, err := StretchTrials(ctx, sol, k, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ev := range st.Samples {
+				if want := TrialLambda(seed, i); math.Float64bits(ev.Lambda) != math.Float64bits(want) {
+					t.Fatalf("seed %d, workers %d: trial %d rounded with λ = %v, TrialLambda gives %v",
+						seed, workers, i, ev.Lambda, want)
+				}
+			}
+		}
+	}
+}

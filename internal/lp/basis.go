@@ -1,6 +1,10 @@
 package lp
 
-import "repro/internal/simplex"
+import (
+	"slices"
+
+	"repro/internal/simplex"
+)
 
 // Basis is a positional snapshot of a simplex basis over a Model:
 // Vars[v] is the status of variable v and Cons[c] the status of
@@ -15,14 +19,16 @@ type Basis struct {
 	Cons []int8 // indexed by ConstrID
 }
 
-// standardBasis lays w over this model's standard form: n structural
-// variables followed by one slack per inequality row.
-func (m *Model) standardBasis(w *Basis, total int) *simplex.Basis {
+// standardBasis lays w over this model's standard form in sb, reusing
+// its array: n structural variables followed by one slack per
+// inequality row.
+func (m *Model) standardBasis(w *Basis, sb *simplex.Basis, total int) *simplex.Basis {
 	n := len(m.lb)
 	if len(w.Vars) != n || len(w.Cons) != len(m.senses) {
 		return &simplex.Basis{} // another shape: rejected on dimensions
 	}
-	sb := &simplex.Basis{M: len(m.senses), N: total, State: make([]int8, total)}
+	sb.M, sb.N = len(m.senses), total
+	sb.State = slices.Grow(sb.State[:0], total)[:total]
 	copy(sb.State, w.Vars)
 	sj := n
 	for i, sense := range m.senses {

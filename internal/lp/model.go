@@ -23,6 +23,7 @@ import (
 	"slices"
 	"strconv"
 
+	"repro/internal/pool"
 	"repro/internal/simplex"
 	"repro/internal/sparse"
 )
@@ -243,11 +244,14 @@ func (m *Model) SolveWarm(ctx context.Context, opt simplex.Options, warm *Basis)
 		}
 	}
 	// Standard form [A | slacks]: one unit column per inequality row,
-	// after the structural columns, assembled straight from the terms.
-	slackRows := make([]int32, 0, slacks)
+	// after the structural columns, assembled straight from the terms
+	// into the buffers of an earlier solve. A slack's cost is 0.
+	f := forms.Get()
+	f.slackRows = f.slackRows[:0]
 	total := n + slacks
-	clu := make([]float64, 3*total)
-	c, l, u := clu[:total:total], clu[total:2*total:2*total], clu[2*total:]
+	f.clu = slices.Grow(f.clu[:0], 3*total)[:3*total]
+	clear(f.clu[n:total])
+	c, l, u := f.clu[:total:total], f.clu[total:2*total:2*total], f.clu[2*total:]
 	dirSign := 1.0
 	if m.maximize {
 		dirSign = -1
@@ -267,18 +271,18 @@ func (m *Model) SolveWarm(ctx context.Context, opt simplex.Options, warm *Basis)
 		default:
 			continue
 		}
-		slackRows = append(slackRows, int32(i))
+		f.slackRows = append(f.slackRows, int32(i))
 		sj++
 	}
-	prob := &simplex.Problem{
-		A: sparse.FromTriplets(mm, n, m.rows, m.cols, m.vals, slackRows),
-		B: m.rhs[:mm:mm],
-		C: c, L: l, U: u,
-	}
+	f.a.SetTriplets(mm, n, m.rows, m.cols, m.vals, f.slackRows)
+	prob := &simplex.Problem{A: &f.a, B: m.rhs[:mm:mm], C: c, L: l, U: u}
 	if warm != nil {
-		opt.WarmStart = m.standardBasis(warm, total)
+		opt.WarmStart = m.standardBasis(warm, &f.warm, total)
 	}
 	raw, err := simplex.Solve(ctx, prob, opt)
+	// Nothing the solve returns aliases the assembly. A solve that
+	// panicked does not get here, so its assembly is not reused.
+	forms.Put(f)
 	if err != nil {
 		return nil, fmt.Errorf("lp: solving %q: %w", m.name, err)
 	}
@@ -303,3 +307,16 @@ func (m *Model) SolveWarm(ctx context.Context, opt simplex.Options, warm *Basis)
 	}
 	return sol, nil
 }
+
+// standardForm holds the buffers SolveWarm assembles a model's standard
+// form in: the CSC matrix [A | slacks], the objective and bound arrays
+// laid end to end, the rows that carry a slack, and the warm basis.
+type standardForm struct {
+	a         sparse.Matrix
+	clu       []float64
+	slackRows []int32
+	warm      simplex.Basis
+}
+
+// forms holds the idle standard-form assemblies.
+var forms pool.FreeList[standardForm]

@@ -210,8 +210,9 @@ func TestPivotSequencePin(t *testing.T) {
 }
 
 // TestPivotSequencePinConcurrent solves the pin corpus from four
-// goroutines at once, on shared relaxations, while the solver's pooled
-// workspaces pass between them: every line must equal the serial one.
+// goroutines at once, on shared relaxations, while the free-listed
+// simplex workspaces and standard-form assemblies pass between them:
+// every line must equal the serial one.
 func TestPivotSequencePinConcurrent(t *testing.T) {
 	cs, lps := pinCorpusLPs(t)
 	want, err := pinLines(cs, lps)

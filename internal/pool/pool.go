@@ -4,6 +4,9 @@
 // in index order after all workers drain — so a computation fanned out
 // over any number of workers produces bit-identical output to a serial
 // run, provided each item's work depends only on its index.
+//
+// It also provides FreeList, the process-wide list of idle values that
+// the LP solves reuse their buffers from.
 package pool
 
 import (

@@ -69,8 +69,10 @@ func (s *solver) flushObs() {
 	// Add(0) still materializes the series, so scrapers can rely on the
 	// perturbation counter existing from the first solve.
 	reg.Counter("simplex_perturbations_total").Add(int64(s.nPerturb))
-	// Every factorization of the solve is one of its refactorizations;
-	// the pooled lu.Factorization has factorized for earlier solves too.
+	// Every factorization of the solve is one of its refactorizations.
+	// The lu.Factorization comes with the workspace from the free list
+	// and has factorized for earlier solves too, so the solve counts its
+	// own.
 	reg.Counter("lu_factorizations_total").Add(int64(s.nRefactor))
 	reg.Gauge("lu_fill_nnz").Set(int64(s.bas.lu.LNnz() + s.bas.lu.UNnz()))
 	if s.warm != WarmNone {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -263,5 +264,59 @@ func TestLUTelemetryPerSolve(t *testing.T) {
 		if fill, want := snap.Gauges["lu_fill_nnz"], last.Snapshot().Gauges["lu_fill_nnz"]; fill != want || fill == 0 {
 			t.Errorf("%s: lu_fill_nnz = %d, the last solve's fill is %d", name, fill, want)
 		}
+	}
+}
+
+// panicAfter is a context whose n-th Err poll panics.
+type panicAfter struct {
+	context.Context
+	polls, n int
+}
+
+func (c *panicAfter) Err() error {
+	if c.polls++; c.polls >= c.n {
+		panic("poll")
+	}
+	return nil
+}
+
+// TestSolveReturnsWorkspaceUnlessPanicked: Solve takes the workspace
+// last put on the free list and puts it back after a normal return,
+// also after an error, but drops it when the solve panics.
+func TestSolveReturnsWorkspaceUnlessPanicked(t *testing.T) {
+	// No collection may age the workspace off the list meanwhile.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p := assignmentLP(20, 20, 5)
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		err  error
+	}{
+		{"optimal", context.Background(), nil},
+		{"cancelled", &cancelAfter{Context: context.Background(), n: 2}, context.Canceled},
+	} {
+		ws := new(solver)
+		workspaces.Put(ws)
+		if _, err := Solve(c.ctx, p, Options{}); !errors.Is(err, c.err) {
+			t.Fatalf("%s: solve returned %v, want %v", c.name, err, c.err)
+		}
+		if got := workspaces.Get(); got != ws {
+			t.Fatalf("%s: the solve did not return the workspace it took", c.name)
+		}
+	}
+	ws := new(solver)
+	workspaces.Put(ws)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the solve did not panic")
+			}
+		}()
+		// The first poll is Solve's own; the second, in the pivot loop,
+		// panics.
+		_, _ = Solve(&panicAfter{Context: context.Background(), n: 2}, p, Options{})
+	}()
+	if got := workspaces.Get(); got == ws {
+		t.Fatal("a solve that panicked returned its workspace to the list")
 	}
 }

@@ -27,8 +27,9 @@
 //
 // A solve allocates only its result. Its workspace (the dense vectors,
 // the row-major copy of A, the LU factorization, the eta file and the
-// pricing tree) comes from a pool and is reset for each problem to the
-// state a new one would have, so reuse never changes a pivot.
+// pricing tree) comes from a process-wide free list (pool.FreeList) and
+// is reset for each problem to the state a new one would have, so
+// reuse never changes a pivot.
 package simplex
 
 import (
@@ -37,9 +38,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/sparse"
 )
 
@@ -309,7 +310,7 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := workspaces.Get().(*solver)
+	s := workspaces.Get()
 	sol, err := s.solve(ctx, p, opt)
 	// A solve that panicked does not get here, so its half-updated
 	// workspace is dropped rather than reused.
@@ -317,9 +318,10 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 	return sol, err
 }
 
-// workspaces holds idle solvers for reuse, at most about one per P
-// between solves.
-var workspaces = sync.Pool{New: func() any { return new(solver) }}
+// workspaces holds the idle solvers. It is one list for every P, so a
+// solve finds the workspace the last one left on whatever thread it
+// runs, and an idle workspace is dropped after two collections.
+var workspaces pool.FreeList[solver]
 
 // solve runs one solve of p on s, whatever s held before.
 func (s *solver) solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {

@@ -11,13 +11,15 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Matrix is an immutable sparse matrix in compressed sparse column
-// (CSC) form. Row indices within a column are not required to be
-// sorted unless stated otherwise; FromTriplets and Builder sort them.
+// Matrix is a sparse matrix in compressed sparse column (CSC) form.
+// Only SetTriplets writes one; every other method only reads it. Row
+// indices within a column are not required to be sorted unless stated
+// otherwise; FromTriplets, SetTriplets and Builder sort them.
 type Matrix struct {
 	Rows, Cols int
 	ColPtr     []int     // length Cols+1
@@ -187,14 +189,20 @@ const shortColumn = 32
 // ascending. The triplets are read in place: a counting sort by column
 // scatters them straight into the matrix's own arrays.
 func FromTriplets(rows, cols int, is, js []int32, vs []float64, units []int32) *Matrix {
+	m := new(Matrix)
+	m.SetTriplets(rows, cols, is, js, vs, units)
+	return m
+}
+
+// SetTriplets sets m to the matrix FromTriplets(rows, cols, is, js, vs,
+// units) returns, reusing m's arrays where they are large enough.
+func (m *Matrix) SetTriplets(rows, cols int, is, js []int32, vs []float64, units []int32) {
 	total, nnz := cols+len(units), len(vs)+len(units)
-	m := &Matrix{
-		Rows:   rows,
-		Cols:   total,
-		ColPtr: make([]int, total+1),
-		RowIdx: make([]int, nnz),
-		Val:    make([]float64, nnz),
-	}
+	m.Rows, m.Cols = rows, total
+	m.ColPtr = slices.Grow(m.ColPtr[:0], total+1)[:total+1]
+	clear(m.ColPtr)
+	m.RowIdx = slices.Grow(m.RowIdx[:0], nnz)[:nnz]
+	m.Val = slices.Grow(m.Val[:0], nnz)[:nnz]
 	ptr := m.ColPtr
 	for _, j := range js {
 		ptr[j+1]++
@@ -233,7 +241,6 @@ func FromTriplets(rows, cols int, is, js []int32, vs []float64, units []int32) *
 	}
 	ptr[total] = w
 	m.RowIdx, m.Val = m.RowIdx[:w], m.Val[:w]
-	return m
 }
 
 // sortColumn orders entries lo..hi-1 by row, keeping equal rows in

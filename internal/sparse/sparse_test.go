@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +115,32 @@ func TestBuildMatchesDenseProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSetTripletsReusesLikeFresh refills one matrix with triplet sets
+// that grow and shrink, slack columns included: each refill must equal
+// a fresh FromTriplets, down to the stored entries.
+func TestSetTripletsReusesLikeFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var m Matrix
+	for _, sz := range []struct{ rows, cols, n, units int }{{4, 5, 12, 1}, {9, 12, 60, 6}, {3, 2, 4, 0}, {6, 8, 30, 4}} {
+		var is, js []int32
+		var vs []float64
+		for k := 0; k < sz.n; k++ {
+			is, js = append(is, int32(rng.Intn(sz.rows))), append(js, int32(rng.Intn(sz.cols)))
+			vs = append(vs, rng.NormFloat64())
+		}
+		units := make([]int32, sz.units)
+		for t := range units {
+			units[t] = int32(rng.Intn(sz.rows))
+		}
+		m.SetTriplets(sz.rows, sz.cols, is, js, vs, units)
+		want := FromTriplets(sz.rows, sz.cols, is, js, vs, units)
+		if m.Rows != want.Rows || m.Cols != want.Cols || !slices.Equal(m.ColPtr, want.ColPtr) ||
+			!slices.Equal(m.RowIdx, want.RowIdx) || !slices.Equal(m.Val, want.Val) {
+			t.Fatalf("%+v: refilled matrix %v differs from a fresh one %v", sz, m, *want)
+		}
 	}
 }
 
