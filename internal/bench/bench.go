@@ -178,12 +178,15 @@ var simSuite = []simCase{
 // hotPathSuite pins cells at fixed instance sizes regardless of the
 // selected tier, so every harness run (including the 1k CI gate)
 // tracks them: the 10k las/fair floors the incremental allocators
-// bought, the epoch:stretch cell — one LP re-plan per arrival, each
-// solve starting from the residual's greedy vertex — at 1k coflows,
-// and a telemetry variant of the fifo cell that bounds what an enabled
-// obs registry costs the event loop (the >25% events/sec gate is the
-// overhead budget). A cell whose name the tier ladder already produced
-// is skipped rather than measured twice.
+// bought, fair at 1k on the leaf-spine fabric of cmd/coflowbench's
+// online-backlog, where an edge carries tens of flows and the filling
+// has work to do (big-switch's 2-edge paths leave little), the
+// epoch:stretch cell — one LP re-plan per arrival, each solve starting
+// from the residual's greedy vertex — at 1k coflows, and a telemetry
+// variant of the fifo cell that bounds what an enabled obs registry
+// costs the event loop (the >25% events/sec gate is the overhead
+// budget). A cell whose name the tier ladder already produced is
+// skipped rather than measured twice.
 var hotPathSuite = []struct {
 	simCase
 	n   int
@@ -191,6 +194,7 @@ var hotPathSuite = []struct {
 }{
 	{simCase{policy: "las", spec: "leaf-spine:leaves=8,spines=4,hosts=4", inter: 0.25}, 10000, ""},
 	{simCase{policy: "fair", spec: "big-switch:n=64", inter: 0.25}, 10000, ""},
+	{simCase{policy: "fair", spec: "leaf-spine:leaves=8,spines=4,hosts=4", inter: 0.25}, 1000, ""},
 	{simCase{policy: "epoch:stretch", spec: "swan", inter: 4.0, slots: 8, trials: 1}, 1000, ""},
 	{simCase{policy: "fifo", spec: "big-switch:n=64", inter: 0.25, telemetry: true}, 1000, "telemetry"},
 }

@@ -25,17 +25,17 @@ func TestRunProducesCompleteReport(t *testing.T) {
 	if rep.Schema != Schema || rep.Tier != "1k" || rep.GoVersion == "" {
 		t.Fatalf("bad report header: %+v", rep)
 	}
-	// The four ladder sim cells at n=40, the epoch:stretch and
-	// fifo-telemetry hot-path cells (the las/fair hot-path cells
-	// collapse into the ladder's at the overridden size), the headline
-	// cell, and the five scheduler/LP benches (including the
-	// degenerate-LP robustness cell).
-	if len(rep.Results) != 12 {
+	// The four ladder sim cells at n=40, the leaf-spine fair,
+	// epoch:stretch and fifo-telemetry hot-path cells (the las and
+	// big-switch fair hot-path cells collapse into the ladder's at the
+	// overridden size), the headline cell, and the five scheduler/LP
+	// benches (including the degenerate-LP robustness cell).
+	if len(rep.Results) != 13 {
 		names := make([]string, len(rep.Results))
 		for i, r := range rep.Results {
 			names[i] = r.Name
 		}
-		t.Fatalf("want 12 results, got %d: %v", len(rep.Results), names)
+		t.Fatalf("want 13 results, got %d: %v", len(rep.Results), names)
 	}
 	for _, r := range rep.Results {
 		if r.NsPerOp <= 0 || r.Iterations <= 0 {

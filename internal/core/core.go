@@ -146,6 +146,24 @@ func TrialLambda(seed int64, i int) float64 {
 	return schedule.SampleLambda(rng)
 }
 
+// lambdaRNGs holds the RNGs StretchTrials draws λs from. Seeding
+// math/rand's source fills its 607 words, so a draw costs one seeding
+// and a reused RNG saves the source's allocation.
+var lambdaRNGs pool.FreeList[lambdaRNG]
+
+// lambdaRNG is a reusable RNG; rng is nil until its first seeding.
+type lambdaRNG struct{ rng *rand.Rand }
+
+// seeded returns the RNG seeded with s, creating it on first use.
+func (l *lambdaRNG) seeded(s int64) *rand.Rand {
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(s))
+	} else {
+		l.rng.Seed(s)
+	}
+	return l.rng
+}
+
 // StretchTrials samples k values of λ from the f(v)=2v density
 // (paper: k=20), rounds with each, and aggregates. Trial i draws
 // TrialLambda(opt.Seed, i), all k from one re-seeded RNG before the
@@ -157,14 +175,14 @@ func StretchTrials(ctx context.Context, sol *model.Solution, k int, opt Options)
 	if k <= 0 {
 		return nil, fmt.Errorf("core: StretchTrials needs k ≥ 1, got %d", k)
 	}
-	// Re-seeding one RNG draws what TrialLambda's fresh one would,
-	// without a new source per trial.
+	// Seeding with (opt.Seed, i) draws what TrialLambda's fresh RNG
+	// would, with one seeding per λ.
 	lambdas := make([]float64, k)
-	rng := rand.New(rand.NewSource(0))
+	l := lambdaRNGs.Get()
 	for i := range lambdas {
-		rng.Seed(stats.SubSeed(opt.Seed, uint64(i)))
-		lambdas[i] = schedule.SampleLambda(rng)
+		lambdas[i] = schedule.SampleLambda(l.seeded(stats.SubSeed(opt.Seed, uint64(i))))
 	}
+	lambdaRNGs.Put(l)
 	trials, err := pool.Map(ctx, k, opt.Workers, func(i int) (*Evaluated, error) {
 		return StretchOnce(sol, lambdas[i], opt)
 	})

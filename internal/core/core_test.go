@@ -4,10 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/coflow"
 	"repro/internal/graph"
+	"repro/internal/model"
 	"repro/internal/timegrid"
 )
 
@@ -289,28 +291,68 @@ func TestTrialLambdaPureFunction(t *testing.T) {
 
 // TestStretchTrialsDrawTrialLambda: every trial of StretchTrials rounds
 // with exactly TrialLambda(seed, i), at one worker and at four, so a
-// replay that calls TrialLambda per trial sees the same λs.
+// replay that calls TrialLambda per trial sees the same λs. k covers
+// the trial counts the workloads use: 1 (the online re-plans), 2 and
+// 20 (the paper's).
 func TestStretchTrialsDrawTrialLambda(t *testing.T) {
-	ctx := context.Background()
-	opt := Options{Grid: timegrid.Uniform(6)}
-	sol, err := SolveLP(ctx, figure2Instance(true), coflow.SinglePath, opt)
+	sol := trialLambdaLP(t)
+	for _, k := range []int{1, 2, 20} {
+		for seed := int64(1); seed <= 50; seed++ {
+			for _, workers := range []int{1, 4} {
+				checkTrialLambdas(t, sol, k, seed, workers)
+			}
+		}
+	}
+}
+
+// TestStretchTrialsDrawTrialLambdaConcurrent: four goroutines calling
+// StretchTrials at once, which pass the RNGs of the shared free list
+// between them, each still draw TrialLambda's λs.
+func TestStretchTrialsDrawTrialLambdaConcurrent(t *testing.T) {
+	sol := trialLambdaLP(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seed := int64(1); seed <= 25; seed++ {
+				for _, k := range []int{1, 2, 20} {
+					checkTrialLambdas(t, sol, k, seed+int64(100*g), 1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// trialLambdaLP solves the small LP the λ draw tests round.
+func trialLambdaLP(t *testing.T) *model.Solution {
+	t.Helper()
+	sol, err := SolveLP(context.Background(), figure2Instance(true), coflow.SinglePath, Options{Grid: timegrid.Uniform(6)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const k = 20
-	for seed := int64(1); seed <= 50; seed++ {
-		for _, workers := range []int{1, 4} {
-			opt.Seed, opt.Workers = seed, workers
-			st, err := StretchTrials(ctx, sol, k, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, ev := range st.Samples {
-				if want := TrialLambda(seed, i); math.Float64bits(ev.Lambda) != math.Float64bits(want) {
-					t.Fatalf("seed %d, workers %d: trial %d rounded with λ = %v, TrialLambda gives %v",
-						seed, workers, i, ev.Lambda, want)
-				}
-			}
+	return sol
+}
+
+// checkTrialLambdas runs k trials and reports, with t.Error so that it
+// may run off the test's goroutine, any trial whose λ is not
+// TrialLambda(seed, i).
+func checkTrialLambdas(t *testing.T, sol *model.Solution, k int, seed int64, workers int) {
+	st, err := StretchTrials(context.Background(), sol, k, Options{Grid: timegrid.Uniform(6), Seed: seed, Workers: workers})
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	if len(st.Samples) != k {
+		t.Errorf("k %d, seed %d: %d samples", k, seed, len(st.Samples))
+		return
+	}
+	for i, ev := range st.Samples {
+		if want := TrialLambda(seed, i); math.Float64bits(ev.Lambda) != math.Float64bits(want) {
+			t.Errorf("k %d, seed %d, workers %d: trial %d rounded with λ = %v, TrialLambda gives %v",
+				k, seed, workers, i, ev.Lambda, want)
+			return
 		}
 	}
 }

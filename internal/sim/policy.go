@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -351,178 +352,333 @@ func (p *lasPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
 // saturates, freezes the flows through it, and repeats on the rest —
 // the per-flow fairness a network with no coflow scheduler would give.
 //
-// Per event it builds the live-flow list, the per-edge unfrozen-flow
-// counts and the edge→flows reverse index once; the counts then drop
-// by decrement as flows freeze (the reference recounts every path
-// every round). Each round is one min pass and one raise pass over the
-// counted edges: the min pass drops the edges whose flows all froze
-// and takes the raise δ = min residual[e]/count[e]; the raise pass
-// lowers each residual by count[e]·δ in one step and collects the
-// edges left at ≤ eps, whose reverse lists name the flows that freeze
-// at the accumulated fill. A round therefore costs O(counted edges +
-// flows frozen this round), and each flow is frozen exactly once per
-// event.
+// Between two events only a few flows arrive or finish, so the filling
+// state outlives the event. The policy keeps the available unfinished
+// flows in flat-index order, which is (coflow, flow) order and so the
+// Alloc grouping, and per edge the list of those flows that cross it.
+// A call updates both only for the flows that finished, were released
+// or were revealed since the previous one: it walks st.Active only when
+// State.Replan says coflows may have been revealed, and flows released
+// after their coflow's reveal wait in a release heap, so no call scans
+// unreleased flows.
 //
-// Float contract: the test-only fairReference subtracts δ once per
-// flow through an edge, so residuals, and the deltas and rates derived
-// from them, may differ from it in the last bits. The differential
-// tests hold fairPolicy to the reference's event sequence exactly and
-// to its times, completions and aggregates within 1e-9 relative.
+// Each saturation comes from a min-heap of edge levels. An edge that c
+// unfrozen flows cross, and whose frozen flows' rates sum to frozen,
+// carries frozen + c·f at fill f and saturates at the level
+// (capacity − frozen)/c. A freeze through it adds the fill, which is
+// below the level, to frozen and lowers c, so its level only rises,
+// and a popped key that is out of date is refreshed in place. A round
+// raises the fill to the least level and saturates every edge whose
+// residual at that fill is ≤ eps, so ties within eps saturate together
+// and the sim_fair_freeze_rounds histogram counts one round per
+// distinct saturation level. A round costs O(log edges) per edge it
+// pops and O(path) per flow it freezes, and each flow freezes exactly
+// once per call.
+//
+// Float contract: the test-only fairReference subtracts δ from every
+// edge once per flow through it in every round. Here an edge's load
+// is the sum of its frozen rates plus c times the fill, and a round's
+// fill is a level, so rates may differ from the reference's in the
+// last bits. The differential tests hold fairPolicy to the reference's
+// event sequence exactly, and to its rates, times, completions and
+// aggregates within fairTol relative.
 type fairPolicy struct {
-	g         *graph.Graph
-	caps      []float64
-	residual  []float64
-	count     []int
-	used      []graph.EdgeID
-	satEdges  []graph.EdgeID
-	edgeFlows [][]int32
-	live      []liveFlow
+	st *State // the run the state below belongs to
+
+	avail, merged []fairFlow  // available unfinished flows, ascending fi
+	fresh         []fairFlow  // flows that became available this call
+	revealed      []bool      // per coflow: its flows are indexed
+	waiting       flowRelHeap // flows of revealed coflows not yet released
+	// rate[fi] is flow fi's rate once frozen in this call, unfrozen
+	// before.
+	rate []float64
+
+	caps    []float64
+	through [][]int32      // per edge: the fi of each available unfinished flow crossing it
+	used    []graph.EdgeID // edges whose list may be non-empty
+	inUsed  []bool
+
+	// Per-call filling state of each used edge, and its level in
+	// levels; sat and risen are a round's scratch.
+	fills  []edgeFill
+	levels levelHeap
+	sat    []graph.EdgeID
+	risen  []edgeLevel
 	// rounds observes the freeze-round count per event — how many
 	// progressive-filling iterations the fair share took. Nil without a
 	// registry.
 	rounds *obs.Histogram
 }
 
-type liveFlow struct {
-	j, i   int32
-	fi     int32 // flat flow index: path is pathEdges[pathOff[fi]:pathOff[fi+1]]
-	rate   float64
-	frozen bool
+// fairFlow is an available flow: flow i of coflow j, flat index fi.
+type fairFlow struct{ fi, j, i int32 }
+
+// edgeFill is an edge's share of one progressive filling: c unfrozen
+// flows cross it and the rates frozen through it sum to frozen, so at
+// fill f its load is frozen + c·f and it saturates at the level
+// (capacity − frozen)/c.
+type edgeFill struct {
+	c      int
+	frozen float64
+}
+
+// level is the fill at which edge e saturates.
+func (p *fairPolicy) level(e graph.EdgeID) float64 {
+	return (p.caps[e] - p.fills[e].frozen) / float64(p.fills[e].c)
+}
+
+// unfrozen marks a rate not yet fixed in this call.
+const unfrozen = -1.0
+
+// start binds p to the run of st, whose instance has flows flows.
+func (p *fairPolicy) start(st *State, flows int32) {
+	g := st.Inst.Graph
+	ne := g.NumEdges()
+	p.st = st
+	p.avail, p.waiting.items = p.avail[:0], p.waiting.items[:0]
+	p.revealed = make([]bool, len(st.Inst.Coflows))
+	p.rate = make([]float64, flows)
+	p.caps = make([]float64, ne)
+	for _, e := range g.Edges() {
+		p.caps[e.ID] = e.Capacity
+	}
+	p.through = make([][]int32, ne)
+	p.used = p.used[:0]
+	p.inUsed = make([]bool, ne)
+	p.fills = make([]edgeFill, ne)
 }
 
 func (*fairPolicy) Name() string { return NameFair }
 func (p *fairPolicy) Allocate(_ context.Context, st *State, out *Alloc) error {
-	g := st.Inst.Graph
-	if p.g != g {
-		p.g = g
-		ne := g.NumEdges()
-		p.caps = make([]float64, ne)
-		for _, e := range g.Edges() {
-			p.caps[e.ID] = e.Capacity
-		}
-		p.residual = make([]float64, ne)
-		p.count = make([]int, ne)
-		p.edgeFlows = make([][]int32, ne)
-	}
-	copy(p.residual, p.caps)
-	residual, count := p.residual, p.count
 	out.ensurePaths(st.Inst)
-	pe, pathOff, flowBase := out.pathEdges, out.pathOff, out.flowBase
-
-	// Live flows in ascending (coflow, flow) order — the sparse entry
-	// grouping — plus per-edge counts and the edge→flows reverse index.
-	// count is all-zero here: every nonzero drains to zero below.
-	p.live = p.live[:0]
-	horizon := st.Now + eps
-	for _, j := range st.Active {
-		rem, rel := st.Remaining[j], st.effRel[j]
-		fb := flowBase[j]
-		lv := out.live[j]
-		w := 0
-		for _, i32 := range lv {
-			i := int(i32)
-			if rem[i] <= eps {
-				continue // finished for good: compacted out of live[j]
-			}
-			lv[w] = i32
-			w++
-			if rel[i] > horizon {
-				continue
-			}
-			p.live = append(p.live, liveFlow{j: int32(j), i: i32, fi: fb + i32})
-		}
-		out.shrinkLive(j, w)
+	p.track(st, out)
+	if len(p.avail) == 0 {
+		return nil
 	}
-	live := p.live
-	used := p.used[:0]
-	for s := range live {
-		fi := live[s].fi
-		for k := pathOff[fi]; k < pathOff[fi+1]; k++ {
-			e := pe[k]
-			if count[e] == 0 {
-				used = append(used, e)
-				p.edgeFlows[e] = p.edgeFlows[e][:0]
-			}
-			count[e]++
-			p.edgeFlows[e] = append(p.edgeFlows[e], int32(s))
+	p.rounds.Observe(float64(p.fill(out)))
+	for _, f := range p.avail {
+		if r := p.rate[f.fi]; r > eps {
+			out.Grant(int(f.j), int(f.i), r)
 		}
-	}
-
-	// The rounds. A round's delta is the min over counted edges of the
-	// residual share residual[e]/count[e] — the value the reference's
-	// all-flows path scan finds (same multiset; a min is
-	// order-independent) — and every counted edge then loses delta once
-	// per unfrozen flow through it, count[e]·delta in one subtraction.
-	// Every unfrozen flow has a non-empty path (the single path model
-	// requires one) and every counted edge a positive residual, so
-	// delta ≥ 0.
-	fill := 0.0
-	sat := p.satEdges[:0]
-	fillRounds := 0
-	for unfrozen := len(live); unfrozen > 0; {
-		fillRounds++
-		delta := -1.0
-		n := 0
-		for _, e := range used {
-			if count[e] == 0 {
-				continue // its last flow froze last round
-			}
-			used[n] = e
-			n++
-			if sh := residual[e] / float64(count[e]); delta < 0 || sh < delta {
-				delta = sh
-			}
-		}
-		used = used[:n]
-		fill += delta
-		sat = sat[:0]
-		for _, e := range used {
-			residual[e] -= float64(count[e]) * delta
-			if residual[e] <= eps {
-				sat = append(sat, e)
-			}
-		}
-		if len(sat) == 0 {
-			// No edge saturated: the min edge lands at zero up to
-			// rounding, which on a huge residual can exceed eps. Stop
-			// rather than loop; unfrozen flows keep the fill level.
-			break
-		}
-		// Freeze every unfrozen flow through a saturated edge; a
-		// saturated edge's count drops to zero, so the next min pass
-		// drops it.
-		for _, e := range sat {
-			for _, s := range p.edgeFlows[e] {
-				lf := &live[s]
-				if lf.frozen {
-					continue
-				}
-				lf.frozen = true
-				lf.rate = fill
-				unfrozen--
-				for k := pathOff[lf.fi]; k < pathOff[lf.fi+1]; k++ {
-					count[pe[k]]--
-				}
-			}
-		}
-	}
-	p.used, p.satEdges = used, sat
-	if len(live) > 0 {
-		p.rounds.Observe(float64(fillRounds))
-	}
-	for _, e := range used {
-		count[e] = 0
-	}
-	for s := range live {
-		r := live[s].rate
-		if !live[s].frozen {
-			r = fill
-		}
-		if r > eps {
-			out.Grant(int(live[s].j), int(live[s].i), r)
-		}
+		p.rate[f.fi] = unfrozen
 	}
 	return nil
+}
+
+// track brings the available list and the edge lists up to st.Now.
+func (p *fairPolicy) track(st *State, out *Alloc) {
+	pe, pathOff, flowBase := out.pathEdges, out.pathOff, out.flowBase
+	reveal := st.Replan
+	if p.st != st {
+		p.start(st, flowBase[len(flowBase)-1])
+		reveal = true
+	}
+	horizon := st.Now + eps
+
+	// The flows that became available: those of newly revealed coflows
+	// released by now, and the waiting ones whose release has come.
+	p.fresh = p.fresh[:0]
+	if reveal {
+		for _, j := range st.Active {
+			if p.revealed[j] {
+				continue
+			}
+			p.revealed[j] = true
+			for i, rem := range st.Remaining[j] {
+				if rem <= eps {
+					continue
+				}
+				if rel := st.effRel[j][i]; rel > horizon {
+					p.waiting.push(flowRelEntry{t: rel, j: j, i: i})
+				} else {
+					p.fresh = append(p.fresh, fairFlow{fi: flowBase[j] + int32(i), j: int32(j), i: int32(i)})
+				}
+			}
+		}
+	}
+	for len(p.waiting.items) > 0 && p.waiting.items[0].t <= horizon {
+		w := p.waiting.items[0]
+		p.waiting.pop()
+		p.fresh = append(p.fresh, fairFlow{fi: flowBase[w.j] + int32(w.i), j: int32(w.j), i: int32(w.i)})
+	}
+	slices.SortStableFunc(p.fresh, func(a, b fairFlow) int { return cmp.Compare(a.fi, b.fi) })
+
+	// Merge them into the available list, dropping the flows that
+	// finished, and update the edge lists of both.
+	merged, k := p.merged[:0], 0
+	for _, f := range p.avail {
+		if st.Remaining[f.j][f.i] <= eps {
+			for x := pathOff[f.fi]; x < pathOff[f.fi+1]; x++ {
+				l := p.through[pe[x]]
+				at := slices.Index(l, f.fi)
+				l[at] = l[len(l)-1]
+				p.through[pe[x]] = l[:len(l)-1]
+			}
+			continue
+		}
+		for ; k < len(p.fresh) && p.fresh[k].fi < f.fi; k++ {
+			merged = append(merged, p.fresh[k])
+		}
+		merged = append(merged, f)
+	}
+	merged = append(merged, p.fresh[k:]...)
+	p.avail, p.merged = merged, p.avail
+	for _, f := range p.fresh {
+		p.rate[f.fi] = unfrozen
+		for x := pathOff[f.fi]; x < pathOff[f.fi+1]; x++ {
+			e := pe[x]
+			if !p.inUsed[e] {
+				p.inUsed[e] = true
+				p.used = append(p.used, e)
+			}
+			p.through[e] = append(p.through[e], f.fi)
+		}
+	}
+}
+
+// fill runs the progressive filling over the available flows, leaving
+// each one's rate in p.rate, and returns the number of rounds it took.
+func (p *fairPolicy) fill(out *Alloc) int {
+	pe, pathOff := out.pathEdges, out.pathOff
+	// Every edge with flows starts with all of them unfrozen.
+	fills, caps := p.fills, p.caps
+	h := p.levels[:0]
+	n := 0
+	for _, e := range p.used {
+		c := len(p.through[e])
+		if c == 0 {
+			p.inUsed[e] = false
+			continue
+		}
+		p.used[n] = e
+		n++
+		fills[e] = edgeFill{c: c}
+		h = append(h, edgeLevel{at: p.level(e), e: e})
+	}
+	p.used = p.used[:n]
+	h.init()
+
+	// The rounds. Keys are lower bounds of the levels, so the top is
+	// refreshed until it is current; its level is then the least, and
+	// becomes the fill. That edge saturates even where rounding leaves
+	// its residual above eps, so every round freezes a flow. Every
+	// other edge whose residual at the fill is ≤ eps has a level within
+	// eps of it, and its key is no higher.
+	fill := 0.0
+	fillRounds := 0
+	for left := len(p.avail); left > 0; {
+		fillRounds++
+		for {
+			e := h[0].e
+			if fills[e].c == 0 {
+				h.pop() // its flows all froze through other edges
+				continue
+			}
+			lv := p.level(e)
+			if lv > h[0].at {
+				h[0].at = lv
+				h.down(0)
+				continue
+			}
+			fill = lv
+			break
+		}
+		sat := append(p.sat[:0], h[0].e)
+		h.pop()
+		risen := p.risen[:0]
+		for len(h) > 0 && h[0].at <= fill+eps {
+			e := h[0].e
+			h.pop()
+			ef := fills[e]
+			switch {
+			case ef.c == 0:
+			case caps[e]-ef.frozen-float64(ef.c)*fill <= eps:
+				sat = append(sat, e)
+			default:
+				risen = append(risen, edgeLevel{at: p.level(e), e: e})
+			}
+		}
+		for _, x := range risen {
+			h.push(x)
+		}
+		// Freeze every unfrozen flow through a saturated edge at the fill.
+		// A saturated edge's count drops to zero.
+		for _, e := range sat {
+			for _, fi := range p.through[e] {
+				if p.rate[fi] != unfrozen {
+					continue
+				}
+				p.rate[fi] = fill
+				left--
+				for x := pathOff[fi]; x < pathOff[fi+1]; x++ {
+					ef := &fills[pe[x]]
+					ef.frozen += fill
+					ef.c--
+				}
+			}
+		}
+		p.sat, p.risen = sat, risen
+	}
+	p.levels = h
+	return fillRounds
+}
+
+// edgeLevel is an edge's saturation level in a levelHeap: the fill at
+// which it saturates, or a lower bound of it.
+type edgeLevel struct {
+	at float64
+	e  graph.EdgeID
+}
+
+// levelHeap is a binary min-heap on at.
+type levelHeap []edgeLevel
+
+func (h levelHeap) init() {
+	for k := len(h)/2 - 1; k >= 0; k-- {
+		h.down(k)
+	}
+}
+
+func (h *levelHeap) push(x edgeLevel) {
+	*h = append(*h, x)
+	s := *h
+	for k := len(s) - 1; k > 0; {
+		parent := (k - 1) / 2
+		if s[parent].at <= s[k].at {
+			break
+		}
+		s[parent], s[k] = s[k], s[parent]
+		k = parent
+	}
+}
+
+func (h *levelHeap) pop() {
+	s := *h
+	n := len(s) - 1
+	s[0] = s[n]
+	*h = s[:n]
+	if n > 0 {
+		h.down(0)
+	}
+}
+
+func (h levelHeap) down(k int) {
+	x := h[k]
+	for {
+		m := 2*k + 1
+		if m >= len(h) {
+			break
+		}
+		if r := m + 1; r < len(h) && h[r].at < h[m].at {
+			m = r
+		}
+		if x.at <= h[m].at {
+			break
+		}
+		h[k] = h[m]
+		k = m
+	}
+	h[k] = x
 }
 
 // sincroniaOnline re-runs the Sincronia BSSI ordering over the

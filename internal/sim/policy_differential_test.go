@@ -6,11 +6,13 @@ package sim
 // reference implementations (policy_reference_test.go) on the same
 // instances — full traces, completions, and aggregates, across all four
 // topology families and a seed sweep. las is held bit-identical. fair
-// lowers each counted edge's residual by count·δ in one step where the
-// reference subtracts δ once per flow, so its floats may differ in the
-// last bits: it must produce the same event sequence (kind and coflow
-// of every event), with every time, completion and aggregate within
-// fairTol relative. The loop-level differential tests
+// reads each round's fill off an edge level, (capacity − frozen)/count,
+// where the reference subtracts δ once per flow and round, so its
+// floats may differ in the last bits: it must produce the same event
+// sequence (kind and coflow of every event), with every time,
+// completion and aggregate within fairTol relative, and at every event
+// the same entries with rates within fairTol
+// (TestFairMatchesReferenceEveryEvent). The loop-level differential tests
 // (differential_test.go) already pin Simulate against
 // simulateReference with the same policy on both sides; this file pins
 // the policy pair under the same loop, so the two suites together cover
@@ -18,19 +20,23 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"repro/internal/coflow"
+	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/topo"
+	"repro/internal/workload"
 )
 
-// fairTol is the relative tolerance of the fair differential. The
-// closed-form raise rounds once per edge and round where the reference
-// rounds count[e] times, so each event time carries a few ulps of
-// drift; 1e-9 leaves six orders of magnitude of headroom while still
-// catching any real change of the filling.
+// fairTol is the relative tolerance of the fair differential. fair's
+// levels and frozen-rate sums round differently from the reference's
+// per-flow, per-round subtractions, so each rate and event time carries
+// a few ulps of drift; 1e-9 leaves six orders of magnitude of headroom
+// while still catching any real change of the filling.
 const fairTol = 1e-9
 
 // runPolicy executes the optimized event loop with an explicitly
@@ -145,7 +151,7 @@ func TestDifferentialIncrementalPoliciesClairvoyant(t *testing.T) {
 // many seeds on one topology per policy, covering event interleavings
 // (simultaneous reveals, completion/tick ties) a single seed cannot,
 // then one 200-coflow run per topology family, long enough for any
-// drift of fair's closed-form raise to build up across events.
+// drift of fair's level arithmetic to build up across events.
 func TestDifferentialIncrementalPoliciesSeedSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep skipped in -short")
@@ -233,5 +239,89 @@ func TestPriorityRatesMatchesPlainWalk(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// fairReferenceCheck wraps the registered fair policy: after every
+// Allocate it runs fairReference on the same State into a scratch
+// Alloc and fails unless the entries name the same flows in the same
+// order, with rates within fairTol relative.
+type fairReferenceCheck struct {
+	*fairPolicy
+	t     *testing.T
+	ref   fairReference
+	want  Alloc
+	calls int
+}
+
+func (p *fairReferenceCheck) Allocate(ctx context.Context, st *State, out *Alloc) error {
+	if err := p.fairPolicy.Allocate(ctx, st, out); err != nil {
+		return err
+	}
+	p.want.Reset()
+	if err := p.ref.Allocate(ctx, st, &p.want); err != nil {
+		return err
+	}
+	want := p.want.Entries
+	if len(out.Entries) != len(want) {
+		p.t.Fatalf("fair at t=%v: %d entries, reference %d", st.Now, len(out.Entries), len(want))
+	}
+	for k, w := range want {
+		g := out.Entries[k]
+		if g.Coflow != w.Coflow || g.Flow != w.Flow || !within(g.Rate, w.Rate, fairTol) {
+			p.t.Fatalf("fair at t=%v: entry %d is %+v, reference %+v", st.Now, k, g, w)
+		}
+	}
+	p.calls++
+	return nil
+}
+
+// TestFairMatchesReferenceEveryEvent holds fair to fairReference at
+// every event, not only through the trace: online, with release jitter
+// and epoch ticks, and clairvoyant, where every coflow is revealed at
+// t=0 and most flows wait for their release. The fabrics with 128 and
+// 100 hosts put many flows on an edge.
+func TestFairMatchesReferenceEveryEvent(t *testing.T) {
+	topos := append(slices.Clone(differentialTopos), "fat-tree:k=8", "big-switch:n=100")
+	for _, clairvoyant := range []bool{false, true} {
+		for ti, spec := range topos {
+			t.Run(fmt.Sprintf("%s/clairvoyant=%v", spec, clairvoyant), func(t *testing.T) {
+				t.Parallel()
+				seed := int64(stats.SubSeed(233, uint64(ti)))
+				in := differentialInstance(t, spec, 60, seed)
+				opt := Options{Policy: NameFair, Epoch: 2, Seed: seed, Clairvoyant: clairvoyant}
+				check := &fairReferenceCheck{fairPolicy: &fairPolicy{}, t: t}
+				res := runPolicy(t, in, opt, check)
+				if check.calls == 0 || check.calls > res.Events {
+					t.Fatalf("%d checked calls over %d events", check.calls, res.Events)
+				}
+			})
+		}
+	}
+}
+
+// TestFairFreezeRoundsPinned pins the sim_fair_freeze_rounds count and
+// sum on one leaf-spine instance of the online-backlog fabric, so a
+// change to what a round is fails here instead of quietly moving
+// sim.fair_freeze_rounds_mean.
+func TestFairFreezeRoundsPinned(t *testing.T) {
+	top, err := topo.New("leaf-spine:leaves=8,spines=4,hosts=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := workload.Generate(workload.Config{
+		Kind: workload.FB, Graph: top.Graph, NumCoflows: 400, Seed: 1,
+		MeanInterarrival: 0.25, AssignPaths: true, Endpoints: top.Endpoints,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	if _, err := Simulate(context.Background(), in, Options{Policy: NameFair, Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	h := reg.Histogram("sim_fair_freeze_rounds", sizeBounds)
+	if h.Count() != 1821 || h.Sum() != 54781 {
+		t.Fatalf("sim_fair_freeze_rounds: %d observations, %v rounds; want 1821 and 54781", h.Count(), h.Sum())
 	}
 }

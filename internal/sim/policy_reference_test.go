@@ -80,9 +80,8 @@ func (p *lasReference) Allocate(_ context.Context, st *State, out *Alloc) error 
 // unfrozen paths, applies the uniform raise flow by flow, and rescans
 // every flow for freezing — O(rounds · live · path) per event. The
 // registered fairPolicy produces the same rates up to last-bit
-// rounding, with per-edge counts maintained across rounds, a
-// closed-form per-edge raise, and freezing driven by a saturated-edge
-// reverse index.
+// rounding, with its flow and per-edge lists kept across events and
+// each saturation taken from a heap of edge levels.
 type fairReference struct {
 	g        *graph.Graph
 	live     []refLiveFlow
