@@ -162,6 +162,7 @@ func TestBadSpecsAre400(t *testing.T) {
 		{"file workload", "/v1/run", `{"scheduler":"stretch","workload":{"file":"/etc/passwd"}}`, "not served"},
 		{"sweep unknown policy", "/v1/sweep", `{"policies":["nope"]}`, "unknown policy"},
 		{"sweep file workload", "/v1/sweep", `{"base":{"workload":{"file":"x.json"}},"schedulers":["stretch"]}`, "not served"},
+		{"negative max_slots", "/v1/run", `{"scheduler":"heuristic","options":{"max_slots":-1}}`, "max_slots"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -42,10 +42,10 @@ var conformanceTopos = []string{
 var conformanceModels = []repro.TransmissionModel{repro.SinglePath, repro.FreePath, repro.MultiPath}
 
 // conformanceInstance generates the small workload a matrix cell runs:
-// a BigBench-shaped instance (few flows per coflow keeps free path LPs
-// tractable on the larger fabrics) restricted to the topology's
-// endpoints, with both fixed paths and candidate path sets assigned so
-// one instance serves all three models.
+// a BigBench-shaped instance (few flows per coflow keeps the matrix
+// quick) restricted to the topology's endpoints, with both fixed paths
+// and candidate path sets assigned so one instance serves all three
+// models.
 func conformanceInstance(t *testing.T, spec string, coflows int, seed int64) *repro.Instance {
 	t.Helper()
 	top, err := repro.NewTopology(spec)

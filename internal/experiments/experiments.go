@@ -62,8 +62,8 @@ type Config struct {
 	// SingleCoflows is the coflow count for single path figures (9, 10).
 	SingleCoflows int
 	// FreeCoflows is the coflow count for free path figures on SWAN
-	// (6, 8, 11); G-Scale free path figures use half (its LPs carry
-	// ~3× the edges).
+	// (6, 8, 11); G-Scale free path figures (7, 12) use half, the
+	// instance size their tables and goldens were recorded at.
 	FreeCoflows int
 	// MaxSlots caps the uniform grid length.
 	MaxSlots int

@@ -149,6 +149,9 @@ func (g *Graph) ValidatePath(s, t NodeID, path []EdgeID) error {
 	}
 	cur := s
 	for k, eid := range path {
+		if eid < 0 || int(eid) >= len(g.edges) {
+			return fmt.Errorf("graph: path hop %d names no edge (id %d)", k, eid)
+		}
 		e := g.edges[eid]
 		if e.From != cur {
 			return fmt.Errorf("graph: path hop %d starts at %s, expected %s", k, g.names[e.From], g.names[cur])

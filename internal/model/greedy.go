@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/coflow"
+	"repro/internal/graph"
 	"repro/internal/lp"
 	"repro/internal/simplex"
 )
@@ -36,7 +37,7 @@ func (l *LP) GreedyBasis() *lp.Basis {
 	rem := make([][]float64, ne)
 	for e := 0; e < ne; e++ {
 		rem[e] = make([]float64, k)
-		cap := g.Edge(graphEdge(e)).Capacity
+		cap := g.Edge(graph.EdgeID(e)).Capacity
 		for t := 0; t < k; t++ {
 			rem[e][t] = cap * l.Grid.Len(t)
 		}

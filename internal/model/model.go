@@ -6,18 +6,22 @@
 //     completion variables C_j with the lower-bound constraint
 //     C_j ≥ 1 + Σ_t len(t)·(1 − X_j(t));
 //   - single path capacity constraints (6)/(19);
-//   - free path flow conservation and capacity constraints
-//     (7)–(10) / (20)–(23).
+//   - free path routing and capacity constraints (7)–(10) /
+//     (20)–(23), and the multi path model's, both over per-flow path
+//     lists.
 //
-// Two reformulations keep the LP sparse without changing its feasible
-// region or objective:
+// Two reformulations keep the LP sparse and small without changing its
+// optimum:
 //
 //  1. cumulative variables y_f(t) = Σ_{ℓ≤t} x_f(ℓ) are introduced via
 //     the recurrence y_f(t) = y_f(t−1) + x_f(t), so every row has O(1)
 //     nonzeros instead of O(t);
-//  2. source/sink coupling in the free path model uses net flow
-//     (outflow − inflow = x_f(t)), which is equivalent to (7)–(8) up
-//     to removable circulations.
+//  2. the free path model's multicommodity flow (7)–(10) is solved in
+//     path form: by flow decomposition every feasible edge flow is a
+//     sum of s→t path flows plus circulations, whose removal only frees
+//     capacity, so the LP over all paths has the same optimum. Column
+//     generation prices the paths a restricted master needs
+//     (BuildFreePath).
 //
 // All times are in slot units (the experiments use 50-second slots,
 // matching the paper); demands are in capacity·slot units. Release
@@ -28,6 +32,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/coflow"
 	"repro/internal/graph"
@@ -45,16 +50,18 @@ type LP struct {
 	Mode  coflow.Model
 
 	flows []coflow.FlowRef
-	first []int // first usable slot per flat flow
+	first []int              // first usable slot per flat flow
+	paths [][][]graph.EdgeID // routed models: the per-flow path lists (Solution.Paths) xr indexes
 
 	x  [][]lp.VarID   // [flat][slot], -1 below first slot
 	y  [][]lp.VarID   // cumulative y: [flat][slot], -1 below first slot
-	xr [][][]lp.VarID // routes: [flat][slot][edge or pathIdx], nil below first; nil for single path
+	xr [][][]lp.VarID // path rates: [flat][slot][path], nil below first; nil for single path
 	xj [][]lp.VarID   // X_j: [coflow][slot], -1 where fixed to 0
 	cj []lp.VarID     // C_j per coflow
 
 	indRow [][]lp.ConstrID // X_j(t) ≤ y_f(t) rows: [flat][slot], -1 where absent
-	capRow [][]lp.ConstrID // capacity rows, single and multi path: [edge][slot], -1 where absent
+	capRow [][]lp.ConstrID // capacity rows: [edge][slot], -1 where absent
+	link   [][]lp.ConstrID // routed models' Σ_p x_{f,p}(t) = x_f(t) rows: [flat][slot], -1 below first
 }
 
 // Flows returns the flat flow ordering used by x/frac indexing.
@@ -71,12 +78,16 @@ type Solution struct {
 	CStar []float64
 	// Frac[f][k] is the fraction of flat flow f scheduled in slot k.
 	Frac [][]float64
-	// Route[f][k][r] splits Frac[f][k] over flow f's routes: edge r in
-	// the free path model, candidate path AltPaths[r] in the multi path
-	// model. It is nil in the single path model, whose flows have one
-	// fixed Path.
+	// Paths[f] lists the paths flat flow f may use: its AltPaths
+	// (aliased) in the multi path model, the paths column generation
+	// priced in the free path model. It is nil in the single path
+	// model, whose flows have one fixed Path.
+	Paths [][][]graph.EdgeID
+	// Route[f][k][r] is the fraction of flow f shipped on Paths[f][r] in
+	// slot k; the rates sum to Frac[f][k]. Nil in the single path model.
 	Route [][][]float64
-	// Iterations is the simplex iteration count.
+	// Iterations is the simplex iteration count, summed over the column
+	// generation rounds of a free path solve.
 	Iterations int
 	// Basis is the optimal basis, positional over this relaxation's
 	// variables and rows (nil when not exportable). It warm-starts a
@@ -93,9 +104,6 @@ type Solution struct {
 // is routed along its fixed path; constraints (1)–(6) with
 // interval-scaled capacities for non-uniform grids (19).
 func BuildSinglePath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
-	if err := inst.Validate(coflow.SinglePath); err != nil {
-		return nil, err
-	}
 	l, err := buildCommon(inst, grid, coflow.SinglePath)
 	if err != nil {
 		return nil, err
@@ -141,62 +149,12 @@ func idTable[ID lp.VarID | lp.ConstrID](n, k int) [][]ID {
 	return table
 }
 
-// BuildFreePath constructs the Section 3.1.2 relaxation: per-edge flow
-// variables with conservation, constraints (1)–(5) and (7)–(10), with
-// interval-scaled capacities for non-uniform grids (20)–(23).
-func BuildFreePath(inst *coflow.Instance, grid timegrid.Grid) (*LP, error) {
-	if err := inst.Validate(coflow.FreePath); err != nil {
-		return nil, err
-	}
-	l, err := buildCommon(inst, grid, coflow.FreePath)
-	if err != nil {
-		return nil, err
-	}
-	m := l.Model
-	g := inst.Graph
-	k := grid.NumSlots()
-	ne := g.NumEdges()
-
-	l.xr = make([][][]lp.VarID, len(l.flows))
-	for f, ref := range l.flows {
-		fl := inst.FlowAt(ref)
-		l.xr[f] = make([][]lp.VarID, k)
-		for t := l.first[f]; t < k; t++ {
-			evars := make([]lp.VarID, ne)
-			for e := 0; e < ne; e++ {
-				evars[e] = m.AddVar("", 0, 1, 0)
-			}
-			l.xr[f][t] = evars
-			AddConservation(m, g, fl.Source, fl.Sink, evars, l.x[f][t], 1)
-		}
-	}
-
-	// Capacity rows (10)/(23): Σ_f σ_f · x_f(t,e) ≤ c(e)·len(t).
-	for e := 0; e < ne; e++ {
-		capE := g.Edge(graphEdge(e)).Capacity
-		for t := 0; t < k; t++ {
-			row := lp.ConstrID(-1)
-			for f := range l.flows {
-				if t < l.first[f] {
-					continue
-				}
-				if row < 0 {
-					row = m.AddConstr("", lp.LE, capE*grid.Len(t))
-				}
-				m.AddTerm(row, l.xr[f][t][e], inst.FlowAt(l.flows[f]).Demand)
-			}
-		}
-	}
-	return l, nil
-}
-
 // AddConservation adds the flow conservation rows (7)–(9) of one flow
 // routed over the per-edge variables edge (indexed by EdgeID): net
 // outflow at src equals coef·v, net inflow at sink equals coef·v, and
 // every other node with an edge conserves flow. The rows are
-// equalities, added in that order, the other nodes by ID.
-// BuildFreePath routes x_f(t) with coef 1; the Terra baseline's
-// concurrent-flow LP routes μ with coef rem_i.
+// equalities, added in that order, the other nodes by ID. The Terra
+// baseline's concurrent-flow LP routes μ with coef rem_i.
 func AddConservation(m *lp.Model, g *graph.Graph, src, sink graph.NodeID, edge []lp.VarID, v lp.VarID, coef float64) {
 	terms := func(row lp.ConstrID, plus, minus []graph.EdgeID) {
 		for _, e := range plus {
@@ -222,11 +180,15 @@ func AddConservation(m *lp.Model, g *graph.Graph, src, sink graph.NodeID, edge [
 	}
 }
 
-// buildCommon creates the variables and constraints shared by both
-// models: x, cumulative y, coflow indicators X_j, completion C_j, the
-// demand constraint (1) and the completion bound (3)/(16). The model
-// is sized for the whole relaxation of mode before anything is added.
+// buildCommon validates inst for mode and creates the variables and
+// constraints shared by all models: x, cumulative y, coflow indicators
+// X_j, completion C_j, the demand constraint (1) and the completion
+// bound (3)/(16). The model is sized for the whole relaxation of mode
+// before anything is added.
 func buildCommon(inst *coflow.Instance, grid timegrid.Grid, mode coflow.Model) (*LP, error) {
+	if err := inst.Validate(mode); err != nil {
+		return nil, err
+	}
 	k := grid.NumSlots()
 	l := &LP{
 		Model: lp.NewModel("coflow-" + mode.String()),
@@ -246,6 +208,18 @@ func buildCommon(inst *coflow.Instance, grid timegrid.Grid, mode coflow.Model) (
 			return nil, &ReleaseError{Flow: ref, Release: inst.ReleaseAt(ref), Horizon: grid.Horizon()}
 		}
 		l.first[f] = first
+	}
+	// Routed path lists: the candidate paths, or one hop-shortest path
+	// per flow for column generation to grow.
+	if mode != coflow.SinglePath {
+		l.paths = make([][][]graph.EdgeID, nf)
+		for f, ref := range l.flows {
+			fl := inst.FlowAt(ref)
+			l.paths[f] = fl.AltPaths
+			if mode == coflow.FreePath {
+				l.paths[f] = [][]graph.EdgeID{inst.Graph.ShortestPath(fl.Source, fl.Sink)}
+			}
+		}
 	}
 	m.Grow(l.size())
 
@@ -315,11 +289,11 @@ func maxSlot(first []int) int {
 
 // size counts the variables, rows and terms the relaxation of l.Mode
 // has over the first usable slots l.first: the shared structure of
-// buildCommon plus the routing the mode's builder adds. For the free
-// path model the row and term counts are upper bounds.
+// buildCommon plus the routing the mode's builder adds over l.paths,
+// before column generation adds any.
 func (l *LP) size() (vars, rows, terms int) {
-	inst, g, k := l.Inst, l.Inst.Graph, l.Grid.NumSlots()
-	ne := g.NumEdges()
+	inst, k := l.Inst, l.Grid.NumSlots()
+	ne := inst.Graph.NumEdges()
 	hi := 0
 	for j := range inst.Coflows {
 		lo := hi
@@ -334,33 +308,21 @@ func (l *LP) size() (vars, rows, terms int) {
 	for e := range from {
 		from[e] = k
 	}
-	carries := func(path []graph.EdgeID, first int) {
-		for _, e := range path {
-			from[e] = min(from[e], first)
-		}
-	}
 	for f, ref := range l.flows {
-		fl, s := inst.FlowAt(ref), k-l.first[f]
+		s := k - l.first[f]
 		vars += 2 * s    // x, y
 		rows += s        // recurrence rows
 		terms += 3*s - 1 // the first slot's row has no y_f(t−1)
-		switch l.Mode {
-		case coflow.SinglePath:
-			terms += s * len(fl.Path)
-			carries(fl.Path, l.first[f])
-		case coflow.MultiPath:
-			rows += s  // path-split rows
-			terms += s // their x_f(t) entries
-			for _, p := range fl.AltPaths {
-				vars += s
-				terms += s * (1 + len(p))
-				carries(p, l.first[f])
-			}
-		case coflow.FreePath:
-			vars += s * ne
-			rows += s * g.NumNodes() // source, sink and conservation rows
-			terms += s * (3*ne + 2)  // their entries, and the capacity rows'
-			for e := range from {
+		paths := [][]graph.EdgeID{inst.FlowAt(ref).Path}
+		if l.Mode != coflow.SinglePath {
+			paths = l.paths[f]
+			vars += s * len(paths)        // path rates
+			rows += s                     // link rows
+			terms += s * (1 + len(paths)) // their entries
+		}
+		for _, p := range paths {
+			terms += s * len(p)
+			for _, e := range p {
 				from[e] = min(from[e], l.first[f])
 			}
 		}
@@ -412,6 +374,12 @@ func (l *LP) Solve(ctx context.Context, opt simplex.Options) (*Solution, error) 
 // its greedy vertex (see GreedyBasis), which skips phase 1 entirely.
 // The solver validates either basis like any other and falls back to
 // a cold solve when it does not fit; Solution.WarmStart reports which.
+//
+// A free path relaxation is solved by column generation: while an
+// optimal or infeasible master prices out a new path (see price), the
+// path is added and the master re-solved cold. An infeasible master
+// that prices nothing out is an infeasible free path LP. Each round
+// grows l, so a free path relaxation must not be solved concurrently.
 func (l *LP) SolveWarm(ctx context.Context, opt simplex.Options, warm *lp.Basis) (*Solution, error) {
 	if warm == nil {
 		warm = l.GreedyBasis()
@@ -420,8 +388,15 @@ func (l *LP) SolveWarm(ctx context.Context, opt simplex.Options, warm *lp.Basis)
 	if err != nil {
 		return nil, err
 	}
+	iters, outcome := raw.Iterations(), raw.WarmStart
+	for l.Mode == coflow.FreePath && (raw.Status == simplex.Optimal || raw.Status == simplex.Infeasible) && l.price(raw) {
+		if raw, err = l.Model.Solve(ctx, opt); err != nil {
+			return nil, err
+		}
+		iters += raw.Iterations()
+	}
 	if raw.Status != simplex.Optimal {
-		return nil, &StatusError{Status: raw.Status, Iterations: raw.Iterations()}
+		return nil, &StatusError{Status: raw.Status, Iterations: iters}
 	}
 	k := l.Grid.NumSlots()
 	sol := &Solution{
@@ -429,9 +404,10 @@ func (l *LP) SolveWarm(ctx context.Context, opt simplex.Options, warm *lp.Basis)
 		LowerBound: raw.Obj,
 		CStar:      make([]float64, len(l.Inst.Coflows)),
 		Frac:       make([][]float64, len(l.flows)),
-		Iterations: raw.Iterations(),
+		Paths:      slices.Clone(l.paths),
+		Iterations: iters,
 		Basis:      raw.Basis,
-		WarmStart:  raw.WarmStart,
+		WarmStart:  outcome,
 	}
 	for j, cv := range l.cj {
 		sol.CStar[j] = raw.Value(cv)
@@ -448,19 +424,10 @@ func (l *LP) SolveWarm(ctx context.Context, opt simplex.Options, warm *lp.Basis)
 	if l.xr != nil {
 		sol.Route = make([][][]float64, len(l.flows))
 		for f := range l.flows {
-			width := len(l.xr[f][k-1]) // every flow can use the last slot
 			sol.Route[f] = make([][]float64, k)
 			for t := range sol.Route[f] {
-				route := make([]float64, width)
+				route := make([]float64, len(l.paths[f]))
 				sol.Route[f][t] = route
-				// LP vertices may carry circulations (cycles with zero
-				// net flow); a free path slot whose total fraction is
-				// zero ships nothing, so its edge values are dropped
-				// entirely. This keeps "idle slot" detection (schedule
-				// compaction, Section 6.1) sound.
-				if l.Mode == coflow.FreePath && sol.Frac[f][t] <= 1e-9 {
-					continue
-				}
 				for r, id := range l.xr[f][t] {
 					if v := raw.Value(id); v > 1e-9 {
 						route[r] = v
@@ -471,6 +438,3 @@ func (l *LP) SolveWarm(ctx context.Context, opt simplex.Options, warm *lp.Basis)
 	}
 	return sol, nil
 }
-
-// graphEdge converts an int loop index to a graph.EdgeID.
-func graphEdge(e int) graph.EdgeID { return graph.EdgeID(e) }

@@ -186,6 +186,10 @@ func TestFreePathFigure2Bounds(t *testing.T) {
 	}
 }
 
+// TestFreePathConservationInExtraction lays the extracted path rates
+// onto the edges: every path runs from its flow's source to its sink,
+// so the edge flows are conserved with net source outflow Frac, and
+// they respect capacity.
 func TestFreePathConservationInExtraction(t *testing.T) {
 	in := figure2FreePath()
 	l, err := BuildFreePath(in, timegrid.Uniform(6))
@@ -197,47 +201,45 @@ func TestFreePathConservationInExtraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := in.Graph
-	for f, ref := range l.Flows() {
-		fl := in.FlowAt(ref)
-		for k := 0; k < l.Grid.NumSlots(); k++ {
-			// Net flow out of source equals Frac.
-			var net float64
-			for _, eid := range g.OutEdges(fl.Source) {
-				net += sol.Route[f][k][eid]
+	for k := 0; k < l.Grid.NumSlots(); k++ {
+		load := make([]float64, g.NumEdges())
+		for f, ref := range l.Flows() {
+			fl := in.FlowAt(ref)
+			edge := make([]float64, g.NumEdges())
+			for r, p := range sol.Paths[f] {
+				if err := g.ValidatePath(fl.Source, fl.Sink, p); err != nil {
+					t.Fatalf("flow %d path %d: %v", f, r, err)
+				}
+				for _, e := range p {
+					edge[e] += sol.Route[f][k][r]
+				}
 			}
-			for _, eid := range g.InEdges(fl.Source) {
-				net -= sol.Route[f][k][eid]
-			}
-			if math.Abs(net-sol.Frac[f][k]) > 1e-6 {
-				t.Fatalf("flow %d slot %d: net source flow %v ≠ frac %v", f, k, net, sol.Frac[f][k])
-			}
-			// Conservation elsewhere.
 			for v := graph.NodeID(0); v < graph.NodeID(g.NumNodes()); v++ {
-				if v == fl.Source || v == fl.Sink {
-					continue
-				}
-				var bal float64
-				for _, eid := range g.InEdges(v) {
-					bal += sol.Route[f][k][eid]
-				}
+				var out float64
 				for _, eid := range g.OutEdges(v) {
-					bal -= sol.Route[f][k][eid]
+					out += edge[eid]
 				}
-				if math.Abs(bal) > 1e-6 {
-					t.Fatalf("flow %d slot %d node %d: conservation violated by %v", f, k, v, bal)
+				for _, eid := range g.InEdges(v) {
+					out -= edge[eid]
 				}
+				want := 0.0
+				switch v {
+				case fl.Source:
+					want = sol.Frac[f][k]
+				case fl.Sink:
+					want = -sol.Frac[f][k]
+				}
+				if math.Abs(out-want) > 1e-6 {
+					t.Fatalf("flow %d slot %d node %d: net outflow %v, want %v", f, k, v, out, want)
+				}
+			}
+			for e, v := range edge {
+				load[e] += fl.Demand * v
 			}
 		}
-	}
-	// Edge capacities respected per slot.
-	for k := 0; k < l.Grid.NumSlots(); k++ {
 		for _, e := range g.Edges() {
-			var load float64
-			for f, ref := range l.Flows() {
-				load += in.FlowAt(ref).Demand * sol.Route[f][k][e.ID]
-			}
-			if load > e.Capacity*l.Grid.Len(k)+1e-6 {
-				t.Fatalf("slot %d edge %d: load %v > cap %v", k, e.ID, load, e.Capacity*l.Grid.Len(k))
+			if load[e.ID] > e.Capacity*l.Grid.Len(k)+1e-6 {
+				t.Fatalf("slot %d edge %d: load %v > cap %v", k, e.ID, load[e.ID], e.Capacity*l.Grid.Len(k))
 			}
 		}
 	}
@@ -354,19 +356,26 @@ func TestFirstSlotAccessors(t *testing.T) {
 }
 
 // TestSizeCountsTheModel holds the presizing to the builders: size
-// counts exactly the variables, rows and terms a single or multi path
-// relaxation gets, and bounds those of a free path one.
+// counts exactly the variables, rows and terms a single, free (before
+// column generation) or multi path relaxation gets.
 func TestSizeCountsTheModel(t *testing.T) {
 	for _, c := range []pinCase{
 		{name: "single", mode: coflow.SinglePath, coflows: 8, seed: 4, maxSlots: 48},
 		{name: "free", mode: coflow.FreePath, coflows: 3, seed: 5, maxSlots: 16},
 		{name: "multi", mode: coflow.MultiPath, coflows: 4, seed: 6, maxSlots: 12},
 	} {
-		l := pinLP(t, c)
+		var l *LP
+		if c.mode == coflow.FreePath {
+			var err error
+			if l, err = BuildFreePath(pinInstance(t, c)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			l = pinLP(t, c)
+		}
 		vars, rows, terms := l.size()
 		got := [3]int{l.Model.NumVars(), l.Model.NumConstrs(), l.Model.NumNonzeros()}
-		exact := c.mode != coflow.FreePath
-		if (exact && got != [3]int{vars, rows, terms}) || got[0] > vars || got[1] > rows || got[2] > terms {
+		if got != [3]int{vars, rows, terms} {
 			t.Errorf("%s: built %v variables/rows/terms, size counts %v", c.name, got, [3]int{vars, rows, terms})
 		}
 	}

@@ -69,9 +69,10 @@ func pinCorpus() []pinCase {
 	return cs
 }
 
-// pinLP builds the case's relaxation on the spec's default workload
-// (mean interarrival 1.5) and the first grid core.RunAdaptive solves.
-func pinLP(t *testing.T, c pinCase) *LP {
+// pinInstance generates the case's instance on the spec's default
+// workload (mean interarrival 1.5) and the first grid core.RunAdaptive
+// solves it on.
+func pinInstance(t *testing.T, c pinCase) (*coflow.Instance, timegrid.Grid) {
 	t.Helper()
 	in, err := workload.Generate(workload.Config{
 		Kind: workload.FB, Graph: graph.SWAN(1), NumCoflows: c.coflows, Seed: c.seed,
@@ -102,14 +103,23 @@ func pinLP(t *testing.T, c pinCase) *LP {
 	for float64(h) < in.HorizonLowerBound(c.mode)-1e-9 && h < 4*c.maxSlots {
 		h *= 2
 	}
+	return in, timegrid.Uniform(h)
+}
+
+// pinLP builds the case's relaxation; a free path case builds the edge
+// formulation.
+func pinLP(t *testing.T, c pinCase) *LP {
+	t.Helper()
+	in, grid := pinInstance(t, c)
 	var l *LP
+	var err error
 	switch c.mode {
 	case coflow.SinglePath:
-		l, err = BuildSinglePath(in, timegrid.Uniform(h))
+		l, err = BuildSinglePath(in, grid)
 	case coflow.FreePath:
-		l, err = BuildFreePath(in, timegrid.Uniform(h))
+		l, err = buildEdgeFreePath(in, grid)
 	default:
-		l, err = BuildMultiPath(in, timegrid.Uniform(h))
+		l, err = BuildMultiPath(in, grid)
 	}
 	if err != nil {
 		t.Fatal(err)

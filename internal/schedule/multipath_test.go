@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/coflow"
@@ -128,6 +130,16 @@ func TestMultiPathVerifyCatchesViolations(t *testing.T) {
 		s.Route[0][0][0] = -0.5
 		if err := s.Verify(); err == nil {
 			t.Error("negative path rate accepted")
+		}
+	}
+	{
+		// Paths other than the flow's AltPaths, each still an s→t path.
+		s := FromLP(multiPathLP(t, 6, 3))
+		s.Paths = slices.Clone(s.Paths)
+		s.Paths[3] = slices.Clone(s.Paths[3])
+		slices.Reverse(s.Paths[3])
+		if err := s.Verify(); err == nil || !strings.Contains(err.Error(), "not its AltPaths") {
+			t.Errorf("paths off the AltPaths: Verify says %v", err)
 		}
 	}
 }

@@ -9,8 +9,9 @@
 //   - the compaction pass of Section 6.1: move a slot's entire
 //     schedule into an earlier idle slot when all releases permit;
 //   - feasibility verification (demand, release, capacity and — in
-//     the free path model — per-flow conservation), used as an
-//     invariant check throughout the test suite;
+//     the free and multi path models — path rates over s→t paths
+//     summing to each slot's fraction), used as an invariant check
+//     throughout the test suite;
 //   - completion-time and objective computation.
 //
 // All times are in slot units.
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/coflow"
 	"repro/internal/graph"
@@ -42,10 +44,11 @@ type Schedule struct {
 	Grid  timegrid.Grid
 	Flows []coflow.FlowRef
 	Frac  [][]float64
-	// Route[f][k][r] splits Frac[f][k] over flow f's routes: edge r in
-	// the free path model (a conserved edge flow), candidate path
-	// AltPaths[r] in the multi path model. It is nil in the single path
-	// model, whose flows have one fixed Path.
+	// Paths[f] lists the paths flat flow f may use in the free and multi
+	// path models (model.Solution.Paths); nil in the single path model.
+	Paths [][][]graph.EdgeID
+	// Route[f][k][r] is the fraction of flow f shipped on Paths[f][r] in
+	// slot k; the rates sum to Frac[f][k]. Nil in the single path model.
 	Route [][][]float64
 }
 
@@ -58,6 +61,7 @@ func FromLP(sol *model.Solution) *Schedule {
 		Grid:  sol.LP.Grid,
 		Flows: sol.LP.Flows(),
 		Frac:  sol.Frac,
+		Paths: sol.Paths,
 		Route: sol.Route,
 	}
 	return s.Clone()
@@ -129,20 +133,15 @@ func (s *Schedule) WeightedCompletion() float64 {
 }
 
 // Verify checks feasibility: every demand fully scheduled, no
-// transmission before release, per-slot capacity respected, and the
-// routing consistent with Frac (multi path: path rates summing to it;
-// free path: per-flow conservation with net source outflow equal to it).
+// transmission before release, per-slot capacity respected, and in the
+// free and multi path models the routing consistent with Frac: every
+// path an s→t path of its flow (the flow's AltPaths in the multi path
+// model), non-negative path rates summing to Frac.
 func (s *Schedule) Verify() error {
 	g := s.Inst.Graph
 	k := s.Grid.NumSlots()
-	switch s.Mode {
-	case coflow.SinglePath:
-	case coflow.FreePath, coflow.MultiPath:
-		if s.Route == nil {
-			return fmt.Errorf("schedule: %v schedule without routing", s.Mode)
-		}
-	default:
-		return fmt.Errorf("schedule: unknown mode %v", s.Mode)
+	if s.Mode != coflow.SinglePath && (s.Route == nil || len(s.Paths) != len(s.Flows)) {
+		return fmt.Errorf("schedule: %v schedule without routing", s.Mode)
 	}
 
 	for f, ref := range s.Flows {
@@ -164,6 +163,18 @@ func (s *Schedule) Verify() error {
 		if math.Abs(total-1) > 1e-5 {
 			return fmt.Errorf("schedule: flow %d total fraction %g ≠ 1", f, total)
 		}
+		if s.Mode == coflow.SinglePath {
+			continue
+		}
+		fl := s.Inst.FlowAt(ref)
+		if s.Mode == coflow.MultiPath && !slices.EqualFunc(s.Paths[f], fl.AltPaths, slices.Equal) {
+			return fmt.Errorf("schedule: flow %d paths are not its AltPaths", f)
+		}
+		for r, p := range s.Paths[f] {
+			if err := g.ValidatePath(fl.Source, fl.Sink, p); err != nil {
+				return fmt.Errorf("schedule: flow %d path %d: %w", f, r, err)
+			}
+		}
 	}
 
 	load := make([]float64, g.NumEdges())
@@ -176,11 +187,11 @@ func (s *Schedule) Verify() error {
 				for _, eid := range fl.Path {
 					load[eid] += fl.Demand * s.Frac[f][t]
 				}
-			case coflow.MultiPath:
+			default:
 				pf := s.Route[f][t]
-				if len(pf) != len(fl.AltPaths) {
+				if len(pf) != len(s.Paths[f]) {
 					return fmt.Errorf("schedule: flow %d slot %d has %d path rates, want %d",
-						f, t, len(pf), len(fl.AltPaths))
+						f, t, len(pf), len(s.Paths[f]))
 				}
 				var total float64
 				for pi, v := range pf {
@@ -188,51 +199,13 @@ func (s *Schedule) Verify() error {
 						return fmt.Errorf("schedule: flow %d slot %d path %d negative %g", f, t, pi, v)
 					}
 					total += v
-					for _, eid := range fl.AltPaths[pi] {
+					for _, eid := range s.Paths[f][pi] {
 						load[eid] += fl.Demand * v
 					}
 				}
 				if math.Abs(total-s.Frac[f][t]) > 1e-5 {
 					return fmt.Errorf("schedule: flow %d slot %d path rates sum %g ≠ frac %g",
 						f, t, total, s.Frac[f][t])
-				}
-			case coflow.FreePath:
-				ef := s.Route[f][t]
-				// Net source outflow must equal Frac.
-				var net float64
-				for _, eid := range g.OutEdges(fl.Source) {
-					net += ef[eid]
-				}
-				for _, eid := range g.InEdges(fl.Source) {
-					net -= ef[eid]
-				}
-				if math.Abs(net-s.Frac[f][t]) > 1e-5 {
-					return fmt.Errorf("schedule: flow %d slot %d source net %g ≠ frac %g",
-						f, t, net, s.Frac[f][t])
-				}
-				// Conservation at internal nodes.
-				for v := 0; v < g.NumNodes(); v++ {
-					nv := gNode(v)
-					if nv == fl.Source || nv == fl.Sink {
-						continue
-					}
-					var bal float64
-					for _, eid := range g.InEdges(nv) {
-						bal += ef[eid]
-					}
-					for _, eid := range g.OutEdges(nv) {
-						bal -= ef[eid]
-					}
-					if math.Abs(bal) > 1e-5 {
-						return fmt.Errorf("schedule: flow %d slot %d node %d conservation off by %g",
-							f, t, v, bal)
-					}
-				}
-				for e := range ef {
-					if ef[e] < -Eps {
-						return fmt.Errorf("schedule: flow %d slot %d edge %d negative %g", f, t, e, ef[e])
-					}
-					load[e] += fl.Demand * ef[e]
 				}
 			}
 		}
@@ -259,16 +232,6 @@ func (s *Schedule) Compact() int {
 		for t, v := range s.Frac[f] {
 			if v > Eps {
 				occupied[t] = true
-			}
-		}
-		// Edge-level activity (e.g. circulations in LP vertices) also
-		// marks a free path slot busy: merging into such a slot could
-		// overload its edges.
-		if s.Mode == coflow.FreePath {
-			for t, route := range s.Route[f] {
-				if !occupied[t] && anyPositive(route) {
-					occupied[t] = true
-				}
 			}
 		}
 	}
@@ -359,6 +322,7 @@ func Stretch(sol *model.Solution, lambda float64) (*Schedule, error) {
 		Mode:  sol.LP.Mode,
 		Grid:  grid,
 		Flows: sol.LP.Flows(),
+		Paths: sol.Paths,
 	}
 	nf := len(s.Flows)
 	s.Frac = make([][]float64, nf)
@@ -366,7 +330,6 @@ func Stretch(sol *model.Solution, lambda float64) (*Schedule, error) {
 	if routed {
 		s.Route = make([][][]float64, nf)
 	}
-	free := s.Mode == coflow.FreePath
 
 	for f := 0; f < nf; f++ {
 		s.Frac[f] = make([]float64, newK)
@@ -379,8 +342,7 @@ func Stretch(sol *model.Solution, lambda float64) (*Schedule, error) {
 		}
 		for src := 0; src < k; src++ {
 			v := sol.Frac[f][src]
-			// A free path slot with edge activity alone is replayed too.
-			if v <= Eps && !(free && anyPositive(sol.Route[f][src])) {
+			if v <= Eps {
 				continue
 			}
 			// Image of slot src = (src, src+1] is (src/λ, (src+1)/λ].
@@ -429,20 +391,8 @@ func Stretch(sol *model.Solution, lambda float64) (*Schedule, error) {
 	return s, nil
 }
 
-func anyPositive(xs []float64) bool {
-	for _, x := range xs {
-		if x > Eps {
-			return true
-		}
-	}
-	return false
-}
-
 func zero(xs []float64) {
 	for i := range xs {
 		xs[i] = 0
 	}
 }
-
-// gNode converts an int loop index to a graph node id.
-func gNode(v int) graph.NodeID { return graph.NodeID(v) }

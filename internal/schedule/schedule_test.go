@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/coflow"
@@ -344,22 +346,39 @@ func TestVerifyCatchesViolations(t *testing.T) {
 			t.Error("pre-release transmission accepted")
 		}
 	}
-	{
-		// Free path: break conservation.
+	// Free path routing: each corruption of a Heuristic schedule must
+	// fail with its own message. Flow 0 runs v1→t, flow 3 s→t.
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(s *Schedule)
+	}{
+		{"a route that is no s→t path of its flow", "path hop 0 starts at s", func(s *Schedule) {
+			s.Paths = slices.Clone(s.Paths)
+			s.Paths[0] = slices.Repeat([][]graph.EdgeID{s.Paths[3][0]}, len(s.Paths[0]))
+		}},
+		{"path rates that do not sum to Frac", "path rates sum", func(s *Schedule) {
+			s.Route[3][firstSlot(s, 3)][0] += 0.25
+		}},
+		{"a negative path rate", "negative", func(s *Schedule) {
+			s.Route[3][firstSlot(s, 3)] = append([]float64{-0.5}, s.Route[3][firstSlot(s, 3)][1:]...)
+		}},
+	} {
 		s := FromLP(figure2LP(t, coflow.FreePath, 6))
-		for k := range s.Route[0] {
-			for e := range s.Route[0][k] {
-				if s.Route[0][k][e] > 0 {
-					s.Route[0][k][e] *= 2
-					if err := s.Verify(); err == nil {
-						t.Error("conservation violation accepted")
-					}
-					return
-				}
-			}
+		c.corrupt(s)
+		if err := s.Verify(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Verify says %v, want an error with %q", c.name, err, c.want)
 		}
-		t.Fatal("no positive edge fraction found")
 	}
+}
+
+// firstSlot returns the first slot in which flat flow f transmits.
+func firstSlot(s *Schedule, f int) int {
+	for k, v := range s.Frac[f] {
+		if v > Eps {
+			return k
+		}
+	}
+	return -1
 }
 
 func TestVerifyMissingEdgeRouting(t *testing.T) {

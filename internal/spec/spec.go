@@ -101,7 +101,8 @@ type Workload struct {
 // Telemetry switch. Offline runs ignore the sim-only fields and vice
 // versa.
 type Options struct {
-	// MaxSlots caps the uniform time grid (0 = 48).
+	// MaxSlots caps the uniform time grid (0 = 48; negative is
+	// rejected).
 	MaxSlots int `json:"max_slots,omitempty"`
 	// Trials is the randomized Stretch rounding count (0 = the
 	// engine's 20 offline, the simulator's 5 online; negative
@@ -121,7 +122,8 @@ type Options struct {
 	// CheckEvery enables the simulator's from-scratch verification
 	// every CheckEvery-th event (0 = off).
 	CheckEvery int `json:"check_every,omitempty"`
-	// MaxEvents caps the simulator event loop (0 = 1<<20).
+	// MaxEvents caps the simulator event loop (0 = 1<<20; negative is
+	// rejected).
 	MaxEvents int `json:"max_events,omitempty"`
 	// WarmLP has no effect: every "epoch:<lp-scheduler>" re-plan
 	// already starts from its residual's greedy vertex. It is still
@@ -261,6 +263,12 @@ func (s Spec) Normalized() (Spec, error) {
 
 	if math.IsNaN(s.Options.Epoch) || math.IsInf(s.Options.Epoch, 0) || s.Options.Epoch < 0 {
 		return s, fmt.Errorf("spec: options epoch = %g", s.Options.Epoch)
+	}
+	if s.Options.MaxSlots < 0 {
+		return s, fmt.Errorf("spec: options max_slots = %d is negative", s.Options.MaxSlots)
+	}
+	if s.Options.MaxEvents < 0 {
+		return s, fmt.Errorf("spec: options max_events = %d is negative", s.Options.MaxEvents)
 	}
 	if s.Policy == "" && (s.Options.Epoch != 0 || s.Options.Clairvoyant || s.Options.CheckEvery != 0 || s.Options.MaxEvents != 0 || s.Options.WarmLP) {
 		return s, fmt.Errorf("spec: epoch/clairvoyant/check_every/max_events/warm_lp are online options; scheduler %q is offline", s.Scheduler)

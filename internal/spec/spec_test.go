@@ -67,6 +67,10 @@ func TestNormalizeErrors(t *testing.T) {
 			[]string{"online options"}},
 		{"negative paths_k", Spec{Scheduler: "stretch", Options: Options{PathsK: -2}},
 			[]string{"paths_k"}},
+		{"negative max_slots", Spec{Scheduler: "heuristic", Options: Options{MaxSlots: -1}},
+			[]string{"max_slots"}},
+		{"negative max_events", Spec{Policy: "fifo", Options: Options{MaxEvents: -1}},
+			[]string{"max_events"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

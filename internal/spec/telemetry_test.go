@@ -3,6 +3,7 @@ package spec
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 
@@ -181,5 +182,30 @@ func TestReplanSolvesStartFeasible(t *testing.T) {
 	}
 	if per := float64(pivots) / float64(replans); per > 100 {
 		t.Errorf("%.1f simplex pivots per re-plan, want ≤ 100", per)
+	}
+}
+
+// TestFreePathFatTreeWorkGuard pins the work of a free path solve on a
+// fabric: 5 FB coflows (17 flows) on fat-tree:k=4, heuristic under a
+// 24-slot cap, which is infeasible and grows to 48 slots. Column
+// generation reaches the edge formulation's LP bound in 8 142 pivots,
+// where the edge formulation took 90 189, so the 30 000 bound fails if
+// the free path model falls back to it.
+func TestFreePathFatTreeWorkGuard(t *testing.T) {
+	rep, err := Run(context.Background(), Spec{
+		Topology: "fat-tree:k=4",
+		Workload: &Workload{Kind: "fb", Coflows: 5, Seed: 1},
+		Model:    ModelFree, Scheduler: "heuristic",
+		Options: Options{MaxSlots: 24, Telemetry: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 2590.090288 // the edge formulation's optimum
+	if math.Abs(rep.LowerBound-bound) > 1e-9*bound {
+		t.Errorf("LP bound %.10g, want %.10g", rep.LowerBound, bound)
+	}
+	if p := rep.Telemetry.Counters["simplex_pivots_total"]; p > 30000 {
+		t.Errorf("%d simplex pivots, want at most 30 000", p)
 	}
 }

@@ -5,9 +5,10 @@
 //
 //   - per-edge capacity is never exceeded in any slot;
 //   - every flow ships its full demand along an admissible route for
-//     its transmission model (the fixed Path in the single path model,
-//     the AltPaths candidate set in the multi path model, a conserved
-//     edge flow in the free path model);
+//     its transmission model: the fixed Path in the single path model,
+//     rates on s→t paths summing to each slot's fraction in the free
+//     and multi path models, whose paths must be the AltPaths candidate
+//     set in the multi path model;
 //   - nothing transmits before its effective release time;
 //   - reported completion times match the replayed ones, reported
 //     aggregates (ΣwC, ΣC, makespan, …) match the completions, and no
@@ -35,6 +36,7 @@ package validate
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/coflow"
@@ -67,7 +69,7 @@ const (
 	// KindRelease: transmission before the effective release time.
 	KindRelease Kind = "release"
 	// KindRouting: inadmissible route for the transmission model
-	// (broken path, rates off the candidate set, conservation failure).
+	// (broken path, paths off the candidate set, rates off Frac).
 	KindRouting Kind = "routing"
 	// KindCapacity: an edge carries more volume than capacity × time.
 	KindCapacity Kind = "capacity"
@@ -200,15 +202,10 @@ func Schedule(s *schedule.Schedule) (*Report, []float64) {
 		r.addf(KindStructure, "Frac has %d rows for %d flows", len(s.Frac), len(s.Flows))
 		return r, nil
 	}
-	switch s.Mode {
-	case coflow.SinglePath:
-	case coflow.FreePath, coflow.MultiPath:
-		if s.Route == nil {
-			r.addf(KindStructure, "%v schedule without Route", s.Mode)
-			return r, nil
-		}
-		if len(s.Route) != len(s.Flows) {
-			r.addf(KindStructure, "Route has %d rows for %d flows", len(s.Route), len(s.Flows))
+	if s.Mode != coflow.SinglePath {
+		if len(s.Route) != len(s.Flows) || len(s.Paths) != len(s.Flows) {
+			r.addf(KindStructure, "%v schedule: Route has %d rows and Paths %d for %d flows",
+				s.Mode, len(s.Route), len(s.Paths), len(s.Flows))
 			return r, nil
 		}
 		for f := range s.Route {
@@ -217,9 +214,6 @@ func Schedule(s *schedule.Schedule) (*Report, []float64) {
 				return r, nil
 			}
 		}
-	default:
-		r.addf(KindStructure, "unknown transmission model %v", s.Mode)
-		return r, nil
 	}
 
 	// Per-flow shipping, release, and routing admissibility.
@@ -262,11 +256,16 @@ func Schedule(s *schedule.Schedule) (*Report, []float64) {
 			} else if err := g.ValidatePath(fl.Source, fl.Sink, fl.Path); err != nil {
 				r.addf(KindRouting, "flow %d: %v", f, err)
 			}
+			continue
 		case coflow.MultiPath:
-			for pi, p := range fl.AltPaths {
-				if err := g.ValidatePath(fl.Source, fl.Sink, p); err != nil {
-					r.addf(KindRouting, "flow %d candidate path %d: %v", f, pi, err)
-				}
+			if !slices.EqualFunc(s.Paths[f], fl.AltPaths, slices.Equal) {
+				r.addf(KindRouting, "flow %d: paths are not its candidate paths", f)
+			}
+		}
+		for pi, p := range s.Paths[f] {
+			if err := g.ValidatePath(fl.Source, fl.Sink, p); err != nil {
+				r.addf(KindRouting, "flow %d path %d: %v", f, pi, err)
+				return r, nil // loads on a route that is no path mean nothing
 			}
 		}
 	}
@@ -284,11 +283,11 @@ func Schedule(s *schedule.Schedule) (*Report, []float64) {
 				for _, eid := range fl.Path {
 					load[eid] += fl.Demand * s.Frac[f][t]
 				}
-			case coflow.MultiPath:
+			default:
 				pf := s.Route[f][t]
-				if len(pf) != len(fl.AltPaths) {
-					r.addf(KindStructure, "flow %d slot %d: %d path rates for %d candidate paths",
-						f, t, len(pf), len(fl.AltPaths))
+				if len(pf) != len(s.Paths[f]) {
+					r.addf(KindStructure, "flow %d slot %d: %d path rates for %d paths",
+						f, t, len(pf), len(s.Paths[f]))
 					continue
 				}
 				var sum float64
@@ -297,54 +296,13 @@ func Schedule(s *schedule.Schedule) (*Report, []float64) {
 						r.addf(KindStructure, "flow %d slot %d path %d: negative rate %g", f, t, pi, v)
 					}
 					sum += v
-					for _, eid := range fl.AltPaths[pi] {
+					for _, eid := range s.Paths[f][pi] {
 						load[eid] += fl.Demand * v
 					}
 				}
 				if math.Abs(sum-s.Frac[f][t]) > fracTol {
 					r.addf(KindRouting, "flow %d slot %d: path rates sum to %g, Frac says %g",
 						f, t, sum, s.Frac[f][t])
-				}
-			case coflow.FreePath:
-				ef := s.Route[f][t]
-				if len(ef) != g.NumEdges() {
-					r.addf(KindStructure, "flow %d slot %d: %d edge rates for %d edges",
-						f, t, len(ef), g.NumEdges())
-					continue
-				}
-				var srcNet float64
-				for _, eid := range g.OutEdges(fl.Source) {
-					srcNet += ef[eid]
-				}
-				for _, eid := range g.InEdges(fl.Source) {
-					srcNet -= ef[eid]
-				}
-				if math.Abs(srcNet-s.Frac[f][t]) > fracTol {
-					r.addf(KindRouting, "flow %d slot %d: source net outflow %g, Frac says %g",
-						f, t, srcNet, s.Frac[f][t])
-				}
-				for v := 0; v < g.NumNodes(); v++ {
-					node := graph.NodeID(v)
-					if node == fl.Source || node == fl.Sink {
-						continue
-					}
-					var bal float64
-					for _, eid := range g.InEdges(node) {
-						bal += ef[eid]
-					}
-					for _, eid := range g.OutEdges(node) {
-						bal -= ef[eid]
-					}
-					if math.Abs(bal) > fracTol {
-						r.addf(KindRouting, "flow %d slot %d node %s: conservation off by %g",
-							f, t, g.NodeName(node), bal)
-					}
-				}
-				for e, v := range ef {
-					if v < -fracTol {
-						r.addf(KindStructure, "flow %d slot %d edge %d: negative rate %g", f, t, e, v)
-					}
-					load[e] += fl.Demand * v
 				}
 			}
 		}

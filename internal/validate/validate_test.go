@@ -130,49 +130,84 @@ func TestOracleCatchesAggregateMismatch(t *testing.T) {
 	}
 }
 
-func TestOracleCatchesFreePathConservationViolation(t *testing.T) {
-	// Figure-2-style graph: s—v1—t and s—v2—t, unit capacities.
+// diamond is s—v1—t and s—v2—t with unit capacities, one coflow
+// shipping demand 2 from s to t, and the two s→t paths as its
+// candidate paths.
+func diamond() (*coflow.Instance, [][]graph.EdgeID) {
 	g := graph.New()
 	s := g.AddNode("s")
 	v1 := g.AddNode("v1")
 	v2 := g.AddNode("v2")
 	tn := g.AddNode("t")
-	g.AddLink(s, v1, 1)
-	g.AddLink(v1, tn, 1)
-	g.AddLink(s, v2, 1)
-	g.AddLink(v2, tn, 1)
+	sv1, _ := g.AddLink(s, v1, 1)
+	v1t, _ := g.AddLink(v1, tn, 1)
+	sv2, _ := g.AddLink(s, v2, 1)
+	v2t, _ := g.AddLink(v2, tn, 1)
+	paths := [][]graph.EdgeID{{sv1, v1t}, {sv2, v2t}}
 	in := &coflow.Instance{
 		Graph: g,
 		Coflows: []coflow.Coflow{{
 			ID: 0, Weight: 1,
-			Flows: []coflow.Flow{{Source: s, Sink: tn, Demand: 2}},
+			Flows: []coflow.Flow{{Source: s, Sink: tn, Demand: 2, AltPaths: paths}},
 		}},
 	}
-	sch := &schedule.Schedule{
+	return in, paths
+}
+
+// diamondSchedule ships the diamond's demand in slot 0, half on each
+// path, in the given routed model.
+func diamondSchedule(mode coflow.Model) *schedule.Schedule {
+	in, paths := diamond()
+	return &schedule.Schedule{
 		Inst:  in,
-		Mode:  coflow.FreePath,
+		Mode:  mode,
 		Grid:  timegrid.Uniform(2),
 		Flows: in.FlattenFlows(),
 		Frac:  [][]float64{{1, 0}},
-		Route: [][][]float64{{make([]float64, g.NumEdges()), make([]float64, g.NumEdges())}},
+		Paths: [][][]graph.EdgeID{paths},
+		Route: [][][]float64{{{0.5, 0.5}, {0, 0}}},
 	}
-	// Route the full unit fraction out of s on both branches but only
-	// deliver one into t: conservation fails at v2.
-	sEdge := func(from, to graph.NodeID) graph.EdgeID {
-		for _, eid := range g.OutEdges(from) {
-			if g.Edge(eid).To == to {
-				return eid
-			}
-		}
-		t.Fatalf("no edge %v→%v", from, to)
-		return 0
+}
+
+// TestOracleCatchesFreePathConservationViolation routes half the flow
+// on a route that leaves s for v2 but never reaches t: the path form
+// of an edge flow that is not conserved at v2.
+func TestOracleCatchesFreePathConservationViolation(t *testing.T) {
+	sch := diamondSchedule(coflow.FreePath)
+	if r, _ := Schedule(sch); !r.OK() {
+		t.Fatalf("feasible free path schedule rejected: %v", r.Err())
 	}
-	sch.Route[0][0][sEdge(s, v1)] = 0.5
-	sch.Route[0][0][sEdge(v1, tn)] = 0.5
-	sch.Route[0][0][sEdge(s, v2)] = 0.5
+	sch.Paths[0][1] = sch.Paths[0][1][:1]
 	r, _ := Schedule(sch)
 	if r.Count(KindRouting) == 0 {
 		t.Fatalf("conservation violation not caught: %v", r.Violations)
+	}
+}
+
+// TestOracleCatchesPathRateViolations corrupts a feasible diamond
+// schedule's path rates and paths one way at a time.
+func TestOracleCatchesPathRateViolations(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		mode    coflow.Model
+		kind    Kind
+		corrupt func(s *schedule.Schedule)
+	}{
+		{"path rates that do not sum to Frac", coflow.FreePath, KindRouting,
+			func(s *schedule.Schedule) { s.Route[0][0][1] = 0.25 }},
+		{"a negative path rate", coflow.FreePath, KindStructure,
+			func(s *schedule.Schedule) { s.Route[0][0] = []float64{1.5, -0.5} }},
+		{"multi path paths that are not the AltPaths", coflow.MultiPath, KindRouting,
+			func(s *schedule.Schedule) { s.Paths[0] = [][]graph.EdgeID{s.Paths[0][1], s.Paths[0][0]} }},
+	} {
+		s := diamondSchedule(c.mode)
+		if r, _ := Schedule(s); !r.OK() {
+			t.Fatalf("%s: feasible schedule rejected: %v", c.name, r.Err())
+		}
+		c.corrupt(s)
+		if r, _ := Schedule(s); r.Count(c.kind) == 0 {
+			t.Errorf("%s: no %s violation in %v", c.name, c.kind, r.Violations)
+		}
 	}
 }
 
@@ -180,8 +215,10 @@ func TestOracleCatchesFreePathConservationViolation(t *testing.T) {
 // shapes must surface as structure violations, not panics.
 func TestOracleReportsTruncatedRoutingArrays(t *testing.T) {
 	in := oneEdgeInstance(0)
+	path := in.Coflows[0].Flows[0].Path
 	s := feasibleSchedule(in, 4, 0)
 	s.Mode = coflow.MultiPath
+	s.Paths = [][][]graph.EdgeID{{path}}
 	s.Route = [][][]float64{} // non-nil but empty
 	r, _ := Schedule(s)
 	if r.Count(KindStructure) == 0 {
@@ -189,10 +226,19 @@ func TestOracleReportsTruncatedRoutingArrays(t *testing.T) {
 	}
 	s = feasibleSchedule(in, 4, 0)
 	s.Mode = coflow.FreePath
+	s.Paths = [][][]graph.EdgeID{{path}}
 	s.Route = [][][]float64{{{0}}} // one slot instead of four
 	r, _ = Schedule(s)
 	if r.Count(KindStructure) == 0 {
 		t.Fatalf("short Route not caught: %v", r.Violations)
+	}
+	s = feasibleSchedule(in, 4, 0)
+	s.Mode = coflow.FreePath
+	s.Paths = [][][]graph.EdgeID{{{99}}} // no such edge
+	s.Route = [][][]float64{{{0.5}, {0.5}, {0}, {0}}}
+	r, _ = Schedule(s)
+	if r.Count(KindRouting) == 0 {
+		t.Fatalf("path over a missing edge not caught: %v", r.Violations)
 	}
 }
 
