@@ -35,7 +35,9 @@ type (
 	// Result is a full pipeline outcome (LP bound, heuristic, Stretch):
 	// RunReport.Engine.Core of a "stretch" or "heuristic" run.
 	Result = core.Result
-	// Evaluated is a verified schedule with its metrics.
+	// Evaluated is a verified schedule with its metrics. Of a Result's
+	// Stretch samples only the best, the least Weighted at the lowest
+	// index, keeps its Schedule; the others carry a nil Schedule.
 	Evaluated = core.Evaluated
 	// WorkloadConfig parameterizes synthetic workload generation.
 	WorkloadConfig = workload.Config

@@ -22,7 +22,7 @@
 // baselines (including a Sincronia-style bottleneck greedy) — is
 // registered with the scheduler engine (internal/engine) and runs by
 // name; Schedulers lists the registry. Stretch roundings run on a
-// worker pool with per-trial RNGs derived from the seed, so results
+// worker pool with per-trial λs derived from the seed, so results
 // are reproducible at any worker count.
 //
 // Online runs use internal/sim: a discrete-event simulator that

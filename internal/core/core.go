@@ -19,7 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+	"sync"
 
 	"repro/internal/coflow"
 	"repro/internal/lp"
@@ -28,7 +28,6 @@ import (
 	"repro/internal/pool"
 	"repro/internal/schedule"
 	"repro/internal/simplex"
-	"repro/internal/stats"
 	"repro/internal/timegrid"
 )
 
@@ -42,9 +41,10 @@ type Options struct {
 	// Trials is the number of randomized Stretch roundings Run
 	// performs on uniform grids (0 disables Stretch).
 	Trials int
-	// Seed drives the λ sampling. Trial i draws TrialLambda(Seed, i),
-	// a pure function of Seed and the trial index, so results are
-	// reproducible at any worker count.
+	// Seed drives the λ sampling. Trial i rounds with
+	// TrialLambda(Seed, i), a pure function of Seed and the trial index
+	// (the first λ of a math/rand generator seeded from both), so
+	// results are reproducible at any worker count.
 	Seed int64
 	// Workers bounds the goroutines used for Stretch trials (≤ 0 =
 	// GOMAXPROCS).
@@ -63,6 +63,9 @@ type Options struct {
 
 // Evaluated is a feasibility-verified schedule with its metrics.
 type Evaluated struct {
+	// Schedule is the verified schedule. A StretchStats sample keeps it
+	// only if it is the best trial (see StretchStats.Samples); the
+	// other samples carry their metrics and a nil Schedule.
 	Schedule    *schedule.Schedule
 	Completions []float64 // per-coflow completion times (slot units)
 	Weighted    float64   // Σ w_j C_j
@@ -127,6 +130,10 @@ func StretchOnce(sol *model.Solution, lambda float64, opt Options) (*Evaluated, 
 // "Average λ" (mean objective, the empirical counterpart of the
 // 2-approximation guarantee).
 type StretchStats struct {
+	// Samples holds the trials in order. Only the trial of least
+	// Weighted, the lowest index on ties, keeps its Schedule: the one
+	// the stretch scheduler reports when it beats the heuristic. The
+	// other samples' Schedule is nil.
 	Samples        []Evaluated
 	BestWeighted   float64
 	BestLambda     float64
@@ -136,66 +143,62 @@ type StretchStats struct {
 	BestTotalLmbda float64
 }
 
-// TrialLambda returns the λ drawn for trial i under the given base
-// seed: the first draw of an RNG seeded with (seed, i) through a
-// splitmix64-style finalizer, so the sample sequence is a pure
-// function of the seed and index, independent of execution order.
-// StretchTrials draws the same values from one re-seeded RNG.
-func TrialLambda(seed int64, i int) float64 {
-	rng := rand.New(rand.NewSource(stats.SubSeed(seed, uint64(i))))
-	return schedule.SampleLambda(rng)
-}
-
-// lambdaRNGs holds the RNGs StretchTrials draws λs from. Seeding
-// math/rand's source fills its 607 words, so a draw costs one seeding
-// and a reused RNG saves the source's allocation.
-var lambdaRNGs pool.FreeList[lambdaRNG]
-
-// lambdaRNG is a reusable RNG; rng is nil until its first seeding.
-type lambdaRNG struct{ rng *rand.Rand }
-
-// seeded returns the RNG seeded with s, creating it on first use.
-func (l *lambdaRNG) seeded(s int64) *rand.Rand {
-	if l.rng == nil {
-		l.rng = rand.New(rand.NewSource(s))
-	} else {
-		l.rng.Seed(s)
-	}
-	return l.rng
-}
+// trialSchedules holds idle trial schedules, whose arrays StretchTrials
+// stretches the next trials into.
+var trialSchedules pool.FreeList[schedule.Schedule]
 
 // StretchTrials samples k values of λ from the f(v)=2v density
-// (paper: k=20), rounds with each, and aggregates. Trial i draws
-// TrialLambda(opt.Seed, i), all k from one re-seeded RNG before the
-// rounding starts. Trials run on a worker pool of opt.Workers
+// (paper: k=20), rounds with each, and aggregates. Trial i rounds with
+// TrialLambda(opt.Seed, i). Trials run on a worker pool of opt.Workers
 // goroutines, and aggregation happens in trial order after the pool
 // drains, so a fixed seed yields bit-identical stats at any worker
 // count.
+//
+// Every trial is stretched, compacted, verified and measured, but only
+// the best one keeps its schedule: the trial of least Weighted, the
+// lowest index on ties. The others give their arrays back for later
+// trials to stretch into.
 func StretchTrials(ctx context.Context, sol *model.Solution, k int, opt Options) (*StretchStats, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: StretchTrials needs k ≥ 1, got %d", k)
 	}
-	// Seeding with (opt.Seed, i) draws what TrialLambda's fresh RNG
-	// would, with one seeding per λ.
-	lambdas := make([]float64, k)
-	l := lambdaRNGs.Get()
-	for i := range lambdas {
-		lambdas[i] = schedule.SampleLambda(l.seeded(stats.SubSeed(opt.Seed, uint64(i))))
-	}
-	lambdaRNGs.Put(l)
-	trials, err := pool.Map(ctx, k, opt.Workers, func(i int) (*Evaluated, error) {
-		return StretchOnce(sol, lambdas[i], opt)
+	samples := make([]Evaluated, k)
+	var mu sync.Mutex // guards best and the samples' schedules
+	best := -1
+	_, err := pool.Map(ctx, k, opt.Workers, func(i int) (struct{}, error) {
+		lambda := TrialLambda(opt.Seed, i)
+		s := trialSchedules.Get()
+		if err := schedule.StretchInto(s, sol, lambda); err != nil {
+			return struct{}{}, err
+		}
+		ev, err := evaluate(s, lambda, !opt.DisableCompaction)
+		if err != nil {
+			return struct{}{}, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		samples[i] = *ev
+		// Of this trial and the best so far, the worse one gives its
+		// schedule back.
+		worse := i
+		if best < 0 || ev.Weighted < samples[best].Weighted || ev.Weighted == samples[best].Weighted && i < best {
+			worse, best = best, i
+		}
+		if worse >= 0 {
+			trialSchedules.Put(samples[worse].Schedule)
+			samples[worse].Schedule = nil
+		}
+		return struct{}{}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	st := &StretchStats{
-		Samples:      make([]Evaluated, 0, k),
+		Samples:      samples,
 		BestWeighted: math.Inf(1),
 		BestTotal:    math.Inf(1),
 	}
-	for _, ev := range trials {
-		st.Samples = append(st.Samples, *ev)
+	for _, ev := range samples {
 		st.AvgWeighted += ev.Weighted
 		st.AvgTotal += ev.Total
 		if ev.Weighted < st.BestWeighted {

@@ -306,8 +306,8 @@ func TestStretchTrialsDrawTrialLambda(t *testing.T) {
 }
 
 // TestStretchTrialsDrawTrialLambdaConcurrent: four goroutines calling
-// StretchTrials at once, which pass the RNGs of the shared free list
-// between them, each still draw TrialLambda's λs.
+// StretchTrials at once, which pass trial schedules between them
+// through the shared free list, each still draw TrialLambda's λs.
 func TestStretchTrialsDrawTrialLambdaConcurrent(t *testing.T) {
 	sol := trialLambdaLP(t)
 	var wg sync.WaitGroup

@@ -6,7 +6,7 @@
 // run, provided each item's work depends only on its index.
 //
 // It also provides FreeList, the process-wide list of idle values that
-// the LP solves reuse their buffers from.
+// the LP solves and the Stretch trials reuse their buffers from.
 package pool
 
 import (

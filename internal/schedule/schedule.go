@@ -88,26 +88,30 @@ func (s *Schedule) Clone() *Schedule {
 
 // FlowCompletionTimes returns, per flat flow, the end of the last
 // slot in which the flow transmits, or +Inf for a flow whose demand is
-// not fully scheduled. It is the one place that decides the slot a
-// flow completes in.
+// not fully scheduled.
 func (s *Schedule) FlowCompletionTimes() []float64 {
 	out := make([]float64, len(s.Flows))
 	for f := range s.Flows {
-		var total float64
-		last := -1
-		for k, v := range s.Frac[f] {
-			total += v
-			if v > Eps {
-				last = k
-			}
-		}
-		if total < 1-1e-5 || last < 0 {
-			out[f] = math.Inf(1)
-		} else {
-			out[f] = s.Grid.End(last)
-		}
+		out[f] = s.flowCompletion(f)
 	}
 	return out
+}
+
+// flowCompletion is FlowCompletionTimes' entry for flat flow f, the
+// one place that decides the slot a flow completes in.
+func (s *Schedule) flowCompletion(f int) float64 {
+	var total float64
+	last := -1
+	for k, v := range s.Frac[f] {
+		total += v
+		if v > Eps {
+			last = k
+		}
+	}
+	if total < 1-1e-5 || last < 0 {
+		return math.Inf(1)
+	}
+	return s.Grid.End(last)
 }
 
 // CompletionTimes returns, per coflow, the latest completion of its
@@ -115,9 +119,9 @@ func (s *Schedule) FlowCompletionTimes() []float64 {
 // unscheduled flow gets +Inf.
 func (s *Schedule) CompletionTimes() []float64 {
 	out := make([]float64, len(s.Inst.Coflows))
-	for f, c := range s.FlowCompletionTimes() {
-		if j := s.Flows[f].Coflow; c > out[j] {
-			out[j] = c
+	for f, ref := range s.Flows {
+		if c := s.flowCompletion(f); c > out[ref.Coflow] {
+			out[ref.Coflow] = c
 		}
 	}
 	return out
@@ -177,45 +181,67 @@ func (s *Schedule) Verify() error {
 		}
 	}
 
+	// A slot's loads come from its cells with a nonzero fraction or path
+	// rate, since adding an exact zero leaves a load unchanged, and only
+	// the edges those cells load are checked. An edge is listed when a
+	// cell loads it while its load is 0; one whose load cancels back to
+	// 0 may be listed twice, and a repeat finds it cleared.
 	load := make([]float64, g.NumEdges())
+	var short [64]graph.EdgeID
+	edges := short[:0]
+	add := func(path []graph.EdgeID, x float64) {
+		for _, e := range path {
+			if load[e] == 0 {
+				edges = append(edges, e)
+			}
+			load[e] += x
+		}
+	}
 	for t := 0; t < k; t++ {
-		zero(load)
 		for f, ref := range s.Flows {
-			fl := s.Inst.FlowAt(ref)
-			switch s.Mode {
-			case coflow.SinglePath:
-				for _, eid := range fl.Path {
-					load[eid] += fl.Demand * s.Frac[f][t]
+			if s.Mode == coflow.SinglePath {
+				if v := s.Frac[f][t]; v != 0 {
+					fl := s.Inst.FlowAt(ref)
+					add(fl.Path, fl.Demand*v)
 				}
-			default:
-				pf := s.Route[f][t]
-				if len(pf) != len(s.Paths[f]) {
-					return fmt.Errorf("schedule: flow %d slot %d has %d path rates, want %d",
-						f, t, len(pf), len(s.Paths[f]))
+				continue
+			}
+			pf := s.Route[f][t]
+			if len(pf) != len(s.Paths[f]) {
+				return fmt.Errorf("schedule: flow %d slot %d has %d path rates, want %d",
+					f, t, len(pf), len(s.Paths[f]))
+			}
+			var total float64
+			for pi, v := range pf {
+				if v < -Eps {
+					return fmt.Errorf("schedule: flow %d slot %d path %d negative %g", f, t, pi, v)
 				}
-				var total float64
-				for pi, v := range pf {
-					if v < -Eps {
-						return fmt.Errorf("schedule: flow %d slot %d path %d negative %g", f, t, pi, v)
-					}
-					total += v
-					for _, eid := range s.Paths[f][pi] {
-						load[eid] += fl.Demand * v
-					}
-				}
-				if math.Abs(total-s.Frac[f][t]) > 1e-5 {
-					return fmt.Errorf("schedule: flow %d slot %d path rates sum %g ≠ frac %g",
-						f, t, total, s.Frac[f][t])
+				total += v
+				if v != 0 {
+					add(s.Paths[f][pi], s.Inst.FlowAt(ref).Demand*v)
 				}
 			}
-		}
-		for _, e := range g.Edges() {
-			capT := e.Capacity * s.Grid.Len(t)
-			if load[e.ID] > capT*(1+1e-6)+1e-9 {
-				return fmt.Errorf("schedule: slot %d edge %d load %g exceeds capacity %g",
-					t, e.ID, load[e.ID], capT)
+			if math.Abs(total-s.Frac[f][t]) > 1e-5 {
+				return fmt.Errorf("schedule: flow %d slot %d path rates sum %g ≠ frac %g",
+					f, t, total, s.Frac[f][t])
 			}
 		}
+		// Report the overloaded edge of lowest ID, the one a scan of
+		// every edge would find first, and clear the loads for slot t+1.
+		var err error
+		over := graph.EdgeID(g.NumEdges())
+		for _, e := range edges {
+			capT := g.Edge(e).Capacity * s.Grid.Len(t)
+			if load[e] > capT*(1+1e-6)+1e-9 && e < over {
+				over = e
+				err = fmt.Errorf("schedule: slot %d edge %d load %g exceeds capacity %g", t, e, load[e], capT)
+			}
+			load[e] = 0
+		}
+		if err != nil {
+			return err
+		}
+		edges = edges[:0]
 	}
 	return nil
 }
@@ -225,45 +251,62 @@ func (s *Schedule) Verify() error {
 // every flow active in t was released by Start(t′) and t′ is at least
 // as long as t. Returns the number of moves performed. Completion
 // times never increase.
+//
+// Each slot's activity and latest release are computed in one sweep of
+// the schedule, and after a move only for the two slots it touched.
 func (s *Schedule) Compact() int {
 	k := s.Grid.NumSlots()
-	occupied := make([]bool, k)
-	for f := range s.Frac {
+	// Grids of up to 256 slots keep their slot states on the stack.
+	var short [256]slotState
+	slot := short[:0]
+	if k <= len(short) {
+		slot = short[:k]
+	} else {
+		slot = make([]slotState, k)
+	}
+	for f, ref := range s.Flows {
+		r := s.Inst.ReleaseAt(ref)
 		for t, v := range s.Frac[f] {
 			if v > Eps {
-				occupied[t] = true
+				slot[t].active = true
+				if r > slot[t].maxRel {
+					slot[t].maxRel = r
+				}
 			}
 		}
+	}
+	for t := range slot {
+		slot[t].occupied = slot[t].active
 	}
 	moves := 0
 	for {
 		moved := false
 		for t := 0; t < k; t++ {
-			if !occupied[t] {
+			if !slot[t].occupied {
 				continue
 			}
-			// Latest release among flows active at t.
-			var maxRel float64
-			active := false
-			for f, ref := range s.Flows {
-				if s.Frac[f][t] > Eps {
-					active = true
-					if r := s.Inst.ReleaseAt(ref); r > maxRel {
-						maxRel = r
-					}
-				}
-			}
-			if !active {
-				occupied[t] = false
+			if !slot[t].active {
+				slot[t].occupied = false
 				continue
 			}
 			for tp := 0; tp < t; tp++ {
-				if occupied[tp] || s.Grid.Start(tp) < maxRel || s.Grid.Len(tp)+1e-12 < s.Grid.Len(t) {
+				if slot[tp].occupied || s.Grid.Start(tp) < slot[t].maxRel || s.Grid.Len(tp)+1e-12 < s.Grid.Len(t) {
 					continue
 				}
 				s.moveSlot(t, tp)
-				occupied[tp] = true
-				occupied[t] = false
+				// t is now empty. tp was idle, so inactive with maxRel 0,
+				// and now holds the merged content, in which a flow may
+				// cross Eps that crossed it in neither slot.
+				slot[t] = slotState{}
+				slot[tp].occupied = true
+				for f, ref := range s.Flows {
+					if s.Frac[f][tp] > Eps {
+						slot[tp].active = true
+						if r := s.Inst.ReleaseAt(ref); r > slot[tp].maxRel {
+							slot[tp].maxRel = r
+						}
+					}
+				}
 				moves++
 				moved = true
 				break
@@ -273,6 +316,16 @@ func (s *Schedule) Compact() int {
 			return moves
 		}
 	}
+}
+
+// slotState is what Compact knows of a slot.
+type slotState struct {
+	maxRel float64 // latest release of the flows that transmit in the slot, at least 0
+	active bool    // some flow transmits in the slot
+	// occupied is what Compact's passes believe of the slot. It is
+	// refreshed from active when a pass reaches the slot, so a merge
+	// that leaves no flow above Eps frees the slot only then.
+	occupied bool
 }
 
 // moveSlot transfers all content from slot t to slot tp.
@@ -306,38 +359,50 @@ func SampleLambda(rng *rand.Rand) float64 {
 // is met. Requires a uniform grid (the paper's main algorithm; the
 // geometric variant of Appendix A is evaluated through its λ=1
 // heuristic). The resulting schedule lives on a uniform grid of
-// ⌈K/λ⌉ slots.
+// ⌈K/λ⌉+1 slots for an LP of K slots.
 func Stretch(sol *model.Solution, lambda float64) (*Schedule, error) {
+	s := new(Schedule)
+	if err := StretchInto(s, sol, lambda); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// StretchInto is Stretch writing into dst: it overwrites dst's Frac
+// and Route rows in place, growing a row only when the stretched grid
+// needs more room than it holds, so a schedule stretched into again
+// and again allocates only while its grid grows. dst's rows must not
+// be shared with another schedule; a Clone's never are.
+func StretchInto(dst *Schedule, sol *model.Solution, lambda float64) error {
 	if lambda <= 0 || lambda > 1 {
-		return nil, fmt.Errorf("schedule: stretch λ=%g outside (0,1]", lambda)
+		return fmt.Errorf("schedule: stretch λ=%g outside (0,1]", lambda)
 	}
 	if !sol.LP.Grid.IsUniform() {
-		return nil, fmt.Errorf("schedule: stretch requires a uniform grid")
+		return fmt.Errorf("schedule: stretch requires a uniform grid")
 	}
 	k := sol.LP.Grid.NumSlots()
 	newK := int(math.Ceil(float64(k)/lambda)) + 1
-	grid := timegrid.Uniform(newK)
-	s := &Schedule{
-		Inst:  sol.LP.Inst,
-		Mode:  sol.LP.Mode,
-		Grid:  grid,
-		Flows: sol.LP.Flows(),
-		Paths: sol.Paths,
-	}
+	s := dst
+	s.Inst, s.Mode, s.Grid = sol.LP.Inst, sol.LP.Mode, timegrid.Uniform(newK)
+	s.Flows, s.Paths = sol.LP.Flows(), sol.Paths
 	nf := len(s.Flows)
-	s.Frac = make([][]float64, nf)
+	s.Frac = resize(s.Frac, nf)
 	routed := sol.Route != nil
 	if routed {
-		s.Route = make([][][]float64, nf)
+		s.Route = resize(s.Route, nf)
+	} else {
+		s.Route = nil
 	}
 
 	for f := 0; f < nf; f++ {
-		s.Frac[f] = make([]float64, newK)
+		s.Frac[f] = resize(s.Frac[f], newK)
+		clear(s.Frac[f])
 		if routed {
-			width := len(sol.Route[f][0])
-			s.Route[f] = make([][]float64, newK)
+			w := len(sol.Route[f][0])
+			s.Route[f] = resize(s.Route[f], newK)
 			for t := range s.Route[f] {
-				s.Route[f][t] = make([]float64, width)
+				s.Route[f][t] = resize(s.Route[f][t], w)
+				clear(s.Route[f][t])
 			}
 		}
 		for src := 0; src < k; src++ {
@@ -370,7 +435,7 @@ func Stretch(sol *model.Solution, lambda float64) (*Schedule, error) {
 			if cum >= 1-1e-12 {
 				s.Frac[f][j] = 0
 				if routed {
-					zero(s.Route[f][j])
+					clear(s.Route[f][j])
 				}
 				continue
 			}
@@ -388,11 +453,16 @@ func Stretch(sol *model.Solution, lambda float64) (*Schedule, error) {
 			cum += v
 		}
 	}
-	return s, nil
+	return nil
 }
 
-func zero(xs []float64) {
-	for i := range xs {
-		xs[i] = 0
+// resize returns xs with length n, over its own array when that holds
+// n elements and over a new one otherwise. A new array takes the whole
+// allocation size class n falls in, so that the next resize finds the
+// room the allocator hands out anyway.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		xs = slices.Grow([]T(nil), n)
 	}
+	return xs[:n]
 }

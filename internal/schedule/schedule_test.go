@@ -418,3 +418,76 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal("clone shares Route")
 	}
 }
+
+// TestStretchIntoReusesArrays: a schedule stretched into again and
+// again, in one model or in the three in turn, with λs that grow and
+// shrink its grid, is bit-equal each time to a fresh Stretch, and keeps
+// its rows until a grid needs more room than they hold.
+func TestStretchIntoReusesArrays(t *testing.T) {
+	sols := []*model.Solution{
+		figure2LP(t, coflow.SinglePath, 6), figure2LP(t, coflow.FreePath, 6), multiPathLP(t, 6, 2),
+	}
+	own := []*Schedule{new(Schedule), new(Schedule), new(Schedule)} // one per model
+	mixed := new(Schedule)                                          // all models in turn
+	arrays := make([][2]*float64, len(sols))                        // own[m]'s first rows at the last λ
+	for _, lambda := range []float64{0.2, 0.9, 0.5, 1, 0.13, 0.7, 0.3} {
+		for m, sol := range sols {
+			want, err := Stretch(sol, lambda)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []*Schedule{own[m], mixed} {
+				if err := StretchInto(s, sol, lambda); err != nil {
+					t.Fatal(err)
+				}
+				if s.Mode != want.Mode || s.Grid.NumSlots() != want.Grid.NumSlots() {
+					t.Fatalf("λ %v, %v: reused schedule is a %v schedule of %d slots, want %v of %d",
+						lambda, sol.LP.Mode, s.Mode, s.Grid.NumSlots(), want.Mode, want.Grid.NumSlots())
+				}
+				if d := scheduleDiff(s, want); d != "" {
+					t.Fatalf("λ %v, %v: reused schedule differs from a fresh one: %s", lambda, sol.LP.Mode, d)
+				}
+				if err := s.Verify(); err != nil {
+					t.Fatalf("λ %v, %v: %v", lambda, sol.LP.Mode, err)
+				}
+			}
+			// λ = 0.2 sizes the arrays for every later λ but 0.13.
+			now := [2]*float64{&own[m].Frac[0][0]}
+			if own[m].Route != nil {
+				now[1] = &own[m].Route[0][0][0]
+			}
+			if grown := now != arrays[m]; lambda != 0.2 && grown != (lambda == 0.13) {
+				t.Errorf("λ %v, %v: arrays reallocated %v, want %v", lambda, sol.LP.Mode, grown, lambda == 0.13)
+			}
+			arrays[m] = now
+		}
+	}
+}
+
+// TestCloneSharesNoArray: stretching into a schedule leaves its Clone
+// as it was, and stretching into the Clone leaves the original.
+func TestCloneSharesNoArray(t *testing.T) {
+	stretch := func(sol *model.Solution, lambda float64) *Schedule {
+		s, err := Stretch(sol, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, sol := range []*model.Solution{figure2LP(t, coflow.SinglePath, 6), multiPathLP(t, 6, 2)} {
+		s := stretch(sol, 0.4)
+		c := s.Clone()
+		if err := StretchInto(s, sol, 0.9); err != nil {
+			t.Fatal(err)
+		}
+		if d := scheduleDiff(c, stretch(sol, 0.4)); d != "" {
+			t.Fatalf("%v: stretching into the original changed its clone: %s", sol.LP.Mode, d)
+		}
+		if err := StretchInto(c, sol, 0.7); err != nil {
+			t.Fatal(err)
+		}
+		if d := scheduleDiff(s, stretch(sol, 0.9)); d != "" {
+			t.Fatalf("%v: stretching into the clone changed the original: %s", sol.LP.Mode, d)
+		}
+	}
+}
