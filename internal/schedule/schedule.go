@@ -258,7 +258,7 @@ func (s *Schedule) Compact() int {
 	k := s.Grid.NumSlots()
 	// Grids of up to 256 slots keep their slot states on the stack.
 	var short [256]slotState
-	slot := short[:0]
+	var slot []slotState
 	if k <= len(short) {
 		slot = short[:k]
 	} else {
